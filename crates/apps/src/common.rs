@@ -73,15 +73,15 @@ impl AppRun {
     }
 }
 
-impl serde::bin::Encode for AppRun {
+impl simkit::codec::Encode for AppRun {
     fn encode(&self, out: &mut Vec<u8>) {
         self.elapsed.encode(out);
         self.phases.encode(out);
     }
 }
 
-impl serde::bin::Decode for AppRun {
-    fn decode(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::DecodeError> {
+impl simkit::codec::Decode for AppRun {
+    fn decode(r: &mut simkit::codec::Reader<'_>) -> Result<Self, simkit::codec::DecodeError> {
         Ok(AppRun {
             elapsed: Time::decode(r)?,
             phases: Vec::<(String, Time)>::decode(r)?,

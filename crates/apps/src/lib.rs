@@ -19,7 +19,8 @@
 //!
 //! The real computational kernels behind these proxies (FEM assembly,
 //! C-grid stencils, LJ force loops, FFT/Legendre transforms) live in
-//! [`kernels`] and are exercised directly by this crate's tests.
+//! the `kernels` crate and are validated there and in the workspace's
+//! `tests/kernel_validation.rs`; this crate only models their cost.
 //! [`capacity`] derives the memory minimums behind Table IV's "NP" cells.
 
 #![warn(missing_docs)]

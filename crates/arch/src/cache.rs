@@ -1,10 +1,9 @@
 //! Cache hierarchy descriptions.
 
-use serde::{Deserialize, Serialize};
 use simkit::units::{Bandwidth, Bytes};
 
 /// One level of cache.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheLevel {
     /// Level name, e.g. `"L1d"`, `"L2"`.
     pub name: String,
@@ -19,7 +18,7 @@ pub struct CacheLevel {
 }
 
 /// An ordered cache hierarchy, innermost first.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     /// Levels from L1 outward.
     pub levels: Vec<CacheLevel>,

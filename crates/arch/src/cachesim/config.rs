@@ -15,10 +15,8 @@
 //! the shared L2/L3 scaled to one core's fair share of capacity (sets
 //! reduced, ways — and therefore conflict behaviour — preserved).
 
-use serde::{Deserialize, Serialize};
-
 /// Set-index function of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexHash {
     /// Plain modulo indexing: `set = line mod sets`.
     Modulo,
@@ -51,21 +49,21 @@ impl IndexHash {
 
 /// Sector-cache way partition: Fujitsu's software-controlled split of a
 /// cache's ways between two data classes (HPC extension `sector cache`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectorConfig {
     /// Ways granted to sector 0 and sector 1; must sum to the level's ways.
     pub ways: [u32; 2],
 }
 
 /// Hardware next-line prefetcher attached to a level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchConfig {
     /// Lines fetched ahead on a detected ascending stream.
     pub degree: u32,
 }
 
 /// One cache level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LevelConfig {
     /// Display name (`"L1d"`, `"L2"`, …).
     pub name: String,
@@ -93,7 +91,7 @@ impl LevelConfig {
 }
 
 /// An ordered cache hierarchy, innermost level first.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HierarchyConfig {
     /// Configuration name (`"a64fx-core"`, …).
     pub name: String,

@@ -22,10 +22,9 @@ use super::sim::{CacheSim, SimResult};
 use super::trace::Trace;
 use crate::compiler::Compiler;
 use crate::machines::Machine;
-use serde::{Deserialize, Serialize};
 
 /// Vector memory/FP issue widths of one core.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PortModel {
     /// DP elements per vector register (8 for 512-bit SVE/AVX-512).
     pub lanes: f64,
@@ -66,7 +65,7 @@ impl PortModel {
 }
 
 /// What the kernel computes, per core shard (matching its trace).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelSpec {
     /// Kernel name.
     pub name: String,
@@ -82,7 +81,7 @@ pub struct KernelSpec {
 }
 
 /// Per-level utilization entry of a [`Prediction`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LevelLoad {
     /// Level name.
     pub name: String,
@@ -96,7 +95,7 @@ pub struct LevelLoad {
 }
 
 /// Predicted performance of one kernel on one machine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Prediction {
     /// Kernel name.
     pub kernel: String,

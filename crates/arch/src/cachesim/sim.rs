@@ -27,10 +27,9 @@
 
 use super::config::HierarchyConfig;
 use super::trace::{Node, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Hit/miss/traffic counters of one cache level.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// Level name copied from the configuration.
     pub name: String,
@@ -65,7 +64,7 @@ impl LevelStats {
 }
 
 /// Outcome of simulating one trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimResult {
     /// Trace name.
     pub trace: String,

@@ -14,13 +14,11 @@
 //! sample == 0` keeps every counter identity (`hits + misses == accesses`)
 //! intact under extrapolation.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum loop nesting depth accepted by [`Trace::validate`].
 pub const MAX_DEPTH: usize = 8;
 
 /// One array (address stream) referenced by a trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArrayDecl {
     /// Display name, e.g. `"x"` or `"apack"`.
     pub name: String,
@@ -31,11 +29,11 @@ pub struct ArrayDecl {
 }
 
 /// Opaque handle to an array declared on a [`TraceBuilder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArrayId(pub usize);
 
 /// Steady-state measurement window on a loop (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Window {
     /// Trips executed before sampling starts.
     pub warmup: u64,
@@ -44,7 +42,7 @@ pub struct Window {
 }
 
 /// A counted loop with a body of nested nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Loop {
     /// Trip count (≥ 1).
     pub trips: u64,
@@ -55,7 +53,7 @@ pub struct Loop {
 }
 
 /// One static memory access site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Access {
     /// Index into [`Trace::arrays`].
     pub array: usize,
@@ -75,7 +73,7 @@ pub struct Access {
 }
 
 /// A trace node: either a loop or a leaf access.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Node {
     /// Nested counted loop.
     Loop(Loop),
@@ -86,7 +84,7 @@ pub enum Node {
 /// Totals of core-issued memory operations, in elements, used by the
 /// port/issue model to derive compute-side efficiency from the trace
 /// instead of a hard-coded per-kernel constant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OpMix {
     /// Unit-stride (vectorizable) load elements.
     pub unit_loads: f64,
@@ -109,7 +107,7 @@ impl OpMix {
 }
 
 /// A complete symbolic access trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Trace {
     /// Kernel name, e.g. `"stream_triad"`.
     pub name: String,

@@ -13,11 +13,9 @@
 //! fraction in [`crate::cost::KernelProfile`]; everything else runs on the
 //! scalar pipeline.
 
-use serde::{Deserialize, Serialize};
-
 /// Source language of a build (STREAM has C and Fortran variants with
 /// measurably different behaviour on CTE-Arm).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Language {
     /// C sources.
     C,
@@ -26,7 +24,7 @@ pub enum Language {
 }
 
 /// The toolchains used in the paper's Table II / Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompilerId {
     /// Fujitsu compiler (fcc/frt) 1.2.26b — A64FX native, aggressive SVE,
     /// but unable to build most of the applications.
@@ -41,7 +39,7 @@ pub enum CompilerId {
 }
 
 /// A toolchain with its empirical optimization quality parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Compiler {
     /// Which toolchain this is.
     pub id: CompilerId,

@@ -23,7 +23,6 @@ use crate::compiler::Compiler;
 use crate::cpu::CoreModel;
 use crate::isa::Precision;
 use crate::memory::MemoryModel;
-use serde::{Deserialize, Serialize};
 use simkit::units::{Bandwidth, Bytes, Flops, Time};
 
 /// Strategy for turning a symbolic access trace into main-memory traffic.
@@ -98,7 +97,7 @@ pub fn gather_vector_efficiency(gather_fraction: f64, lanes: f64) -> f64 {
 }
 
 /// A static description of a computational kernel's resource appetite.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelProfile {
     /// Human name for reports, e.g. `"alya-assembly"`.
     pub name: String,

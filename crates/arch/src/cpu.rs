@@ -1,7 +1,6 @@
 //! Per-core execution model.
 
 use crate::isa::{Precision, VectorIsa};
-use serde::{Deserialize, Serialize};
 use simkit::units::FlopRate;
 
 /// Analytic model of one CPU core.
@@ -18,7 +17,7 @@ use simkit::units::FlopRate;
 /// fewer rename registers — see the micro-architecture manual) differs from
 /// Skylake's aggressive OoO engine, and it is the dominant term behind the
 /// paper's 2–4× application slowdowns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CoreModel {
     /// Marketing name, e.g. `"A64FX"`.
     pub name: String,

@@ -1,9 +1,7 @@
 //! Vector instruction-set descriptions and floating-point precisions.
 
-use serde::{Deserialize, Serialize};
-
 /// Floating-point datatype precision, as used by the FPU µKernel (Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// IEEE 754 binary16 (half).
     Half,
@@ -37,7 +35,7 @@ impl Precision {
 }
 
 /// A SIMD extension as implemented by a particular core.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VectorIsa {
     /// Name, e.g. `"SVE"` or `"AVX512"`.
     pub name: String,

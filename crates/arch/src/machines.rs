@@ -4,11 +4,10 @@ use crate::cache::CacheHierarchy;
 use crate::cpu::CoreModel;
 use crate::isa::VectorIsa;
 use crate::memory::MemoryModel;
-use serde::{Deserialize, Serialize};
 use simkit::units::{Bandwidth, FlopRate};
 
 /// A complete machine description: node architecture plus cluster scale.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Machine {
     /// Cluster name as used in the paper.
     pub name: String,

@@ -20,11 +20,10 @@
 //!    factor.
 
 use crate::compiler::Language;
-use serde::{Deserialize, Serialize};
 use simkit::units::{Bandwidth, Bytes};
 
 /// One NUMA domain: a CMG on the A64FX, a socket on Skylake.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NumaDomain {
     /// Cores in the domain (12 per CMG, 24 per socket).
     pub cores: usize,
@@ -36,7 +35,7 @@ pub struct NumaDomain {
 }
 
 /// How the OS places the pages of a shared (OpenMP) allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PagePlacement {
     /// Pages striped across the domains touched by the team — a thread's
     /// access is local with probability `1/n` (CTE-Arm XOS behaviour).
@@ -47,7 +46,7 @@ pub enum PagePlacement {
 }
 
 /// Per-language sustained-bandwidth efficiency, relative to domain peak.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LanguageEfficiency {
     /// Efficiency of the C build.
     pub c: f64,
@@ -66,7 +65,7 @@ impl LanguageEfficiency {
 }
 
 /// The full memory model of one node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryModel {
     /// Identical NUMA domains (4 CMGs / 2 sockets).
     pub domain: NumaDomain,

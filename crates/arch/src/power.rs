@@ -18,11 +18,10 @@
 
 use crate::cost::{CostModel, KernelProfile};
 use crate::machines::Machine;
-use serde::{Deserialize, Serialize};
 use simkit::units::Time;
 
 /// Component-level node power model (Watts).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerModel {
     /// Idle node power (fans, HBM refresh, NIC, uncore).
     pub idle_w: f64,

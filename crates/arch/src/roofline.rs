@@ -19,10 +19,9 @@
 use crate::cachesim::{CacheSim, HierarchyConfig, Trace};
 use crate::compiler::Compiler;
 use crate::machines::Machine;
-use serde::{Deserialize, Serialize};
 
 /// One roofline ceiling.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ceiling {
     /// Name, e.g. `"SVE peak"` or `"scalar (untuned)"`.
     pub name: String,
@@ -38,7 +37,7 @@ pub struct Ceiling {
 /// // HBM pushes the ridge point below 4 flop/byte.
 /// assert!(r.ridge(0) < 4.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Roofline {
     /// Machine name.
     pub machine: String,
@@ -116,7 +115,7 @@ impl Roofline {
 /// touches); the cache-aware point uses the *simulated DRAM traffic*
 /// instead, which moves kernels with reuse (GEMM, stencils) to the
 /// right and leaves pure streams exactly where the flat model put them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheRooflinePoint {
     /// Kernel name (from the trace).
     pub kernel: String,

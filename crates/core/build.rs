@@ -2,6 +2,8 @@
 //! store: an FNV-1a digest over every Rust source of the workspace's
 //! model crates. Any source change yields a new hash, so `seg-<hash>.bin`
 //! files written by an older model revision are simply never opened.
+//! The binary codec the store encodes values with (`simkit::codec`) is
+//! inside the hashed `crates/` tree, so a codec edit bumps the hash too.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -171,7 +171,7 @@ pub struct TrialOutcome {
     pub injected: Vec<NodeId>,
     /// Top-|injected| nodes of the outlier ranking.
     pub detected: Vec<NodeId>,
-    /// Whether detected == injected as sets — the fingerprint criterion.
+    /// Whether detected == injected as sets — the fingerprint test.
     pub fingerprint_hit: bool,
     /// Worst per-node ping-pong bandwidth slowdown vs baseline (∞ for a
     /// hard-failed node).

@@ -1,10 +1,11 @@
 //! A minimal JSON reader/writer for the `serve` wire protocol.
 //!
-//! The workspace is dependency-free by policy (the vendored `serde` is a
-//! binary codec, not a JSON one), and the serve protocol only needs flat
-//! request objects, so a ~150-line recursive-descent parser is the whole
-//! story. Numbers are kept as `f64` — the protocol's only numeric fields
-//! are ids and node counts, both well inside the exact-integer range.
+//! The workspace is dependency-free by policy (its one codec,
+//! `simkit::codec`, is binary, not JSON), and the serve protocol only
+//! needs flat request objects, so a ~150-line recursive-descent parser is
+//! the whole story. Numbers are kept as `f64` — the protocol's only
+//! numeric fields are ids and node counts, both well inside the
+//! exact-integer range.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

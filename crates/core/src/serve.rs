@@ -355,7 +355,7 @@ pub fn run_batch(ctx: &Ctx, lines: &[String], jobs: usize) -> Vec<String> {
     lines.iter().map(|l| respond(ctx, l, jobs)).collect()
 }
 
-/// Outcome of [`smoke`], one field per acceptance criterion.
+/// Outcome of [`smoke`], one field per acceptance check.
 #[derive(Debug, Clone)]
 pub struct SmokeReport {
     /// Wall time of the cold replay (fresh store, every query a miss).

@@ -221,7 +221,7 @@ pub fn simulate_cached(
     cache.get_or_persistent(key, || simulate(machine, nodes, cfg))
 }
 
-impl serde::bin::Encode for HpcgResult {
+impl simkit::codec::Encode for HpcgResult {
     fn encode(&self, out: &mut Vec<u8>) {
         self.gflops.encode(out);
         self.fraction_of_peak.encode(out);
@@ -229,8 +229,8 @@ impl serde::bin::Encode for HpcgResult {
     }
 }
 
-impl serde::bin::Decode for HpcgResult {
-    fn decode(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::DecodeError> {
+impl simkit::codec::Decode for HpcgResult {
+    fn decode(r: &mut simkit::codec::Reader<'_>) -> Result<Self, simkit::codec::DecodeError> {
         Ok(HpcgResult {
             gflops: f64::decode(r)?,
             fraction_of_peak: f64::decode(r)?,

@@ -221,7 +221,7 @@ pub fn simulate_cached(
     cache.get_or_persistent(key, || simulate(machine, link, nodes, cfg))
 }
 
-impl serde::bin::Encode for HplResult {
+impl simkit::codec::Encode for HplResult {
     fn encode(&self, out: &mut Vec<u8>) {
         self.time.encode(out);
         self.gflops.encode(out);
@@ -230,8 +230,8 @@ impl serde::bin::Encode for HplResult {
     }
 }
 
-impl serde::bin::Decode for HplResult {
-    fn decode(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::DecodeError> {
+impl simkit::codec::Decode for HplResult {
+    fn decode(r: &mut simkit::codec::Reader<'_>) -> Result<Self, simkit::codec::DecodeError> {
         Ok(HplResult {
             time: Time::decode(r)?,
             gflops: f64::decode(r)?,
@@ -246,7 +246,7 @@ impl simkit::store::StoreValue for HplResult {
 }
 
 /// Run the real LU kernel on a small random system and apply HPL's
-/// correctness criterion (scaled residual < 16). Returns the residual.
+/// correctness test (scaled residual < 16). Returns the residual.
 pub fn verify_small_system(n: usize, nb: usize, seed: u64) -> f64 {
     let mut rng = Pcg32::seeded(seed);
     let a = DenseMatrix::from_fn(n, n, |_, _| rng.uniform(-0.5, 0.5));

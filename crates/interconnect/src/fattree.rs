@@ -7,10 +7,9 @@
 //! capacity.
 
 use crate::topology::{check_node, NodeId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Fat-tree description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FatTree {
     /// Total nodes.
     pub n_nodes: usize,

@@ -13,11 +13,10 @@
 //! the rendezvous threshold pay an extra handshake round-trip, which is why
 //! measured bandwidth curves dip at the eager/rendezvous boundary.
 
-use serde::{Deserialize, Serialize};
 use simkit::units::{Bandwidth, Bytes, Time};
 
 /// Link and protocol parameters of one interconnect.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkModel {
     /// Per-message software/injection overhead.
     pub sw_overhead: Time,

@@ -10,7 +10,6 @@
 //! CTE-Arm's 192 nodes map onto `(X, Y, Z) = (4, 2, 2)` units of 12.
 
 use crate::topology::{check_node, NodeId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Number of dimensions in a Tofu coordinate.
 pub const DIMS: usize = 6;
@@ -24,7 +23,7 @@ pub const DIMS: usize = 6;
 /// // Consecutive ids share a 12-node Tofu unit.
 /// assert!(t.same_unit(NodeId(0), NodeId(11)));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TofuD {
     /// Extent of each dimension, order `[X, Y, Z, A, B, C]`.
     pub dims: [usize; DIMS],

@@ -1,9 +1,7 @@
 //! The topology abstraction shared by all interconnect models.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a compute node within a cluster (0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 impl NodeId {

@@ -30,8 +30,8 @@
 //!
 //! Each kernel reports its operation counts (`flops()` / `bytes()`), which
 //! the simulator crates turn into [`arch`-style] kernel profiles; the
-//! kernels themselves run on the host for correctness tests and Criterion
-//! benchmarks.
+//! kernels themselves run on the host for correctness tests and the
+//! `cluster-eval bench-all` throughput rows.
 
 #![warn(missing_docs)]
 

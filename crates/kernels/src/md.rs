@@ -165,10 +165,7 @@ impl LjSystem {
     /// Rebuild the flat cell list in place by counting sort: one pass to
     /// bin particles, a prefix scan, one pass to scatter ids. Buffers are
     /// reused, so after the first call this allocates nothing.
-    /// (`doc(hidden)` pub so the criterion microbench can time the rebuild
-    /// against the nested oracle build.)
-    #[doc(hidden)]
-    pub fn rebuild_cells(&mut self) {
+    fn rebuild_cells(&mut self) {
         let ncell = ((self.box_len / self.cutoff).floor() as usize).max(1);
         let nc3 = ncell * ncell * ncell;
         let w = self.box_len / ncell as f64;

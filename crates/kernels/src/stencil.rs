@@ -412,8 +412,7 @@ impl AtmosGrid {
         self.theta.iter().sum::<f64>() / self.theta.len() as f64
     }
 
-    /// Serialize one output frame (WRF's hourly history write). Returns the
-    /// byte count of the frame.
+    /// Byte count of one output frame (WRF's hourly history write).
     pub fn frame_bytes(&self) -> u64 {
         (self.theta.len() * 8) as u64
     }

@@ -146,7 +146,7 @@ pub fn figure5_cached(
     cache.get_or_persistent(key, || figure5(seed, pairs_per_size))
 }
 
-impl serde::bin::Encode for PairMapSummary {
+impl simkit::codec::Encode for PairMapSummary {
     fn encode(&self, out: &mut Vec<u8>) {
         self.mean.encode(out);
         self.rx_means.encode(out);
@@ -154,8 +154,8 @@ impl serde::bin::Encode for PairMapSummary {
     }
 }
 
-impl serde::bin::Decode for PairMapSummary {
-    fn decode(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::DecodeError> {
+impl simkit::codec::Decode for PairMapSummary {
+    fn decode(r: &mut simkit::codec::Reader<'_>) -> Result<Self, simkit::codec::DecodeError> {
         Ok(PairMapSummary {
             mean: f64::decode(r)?,
             rx_means: Vec::<f64>::decode(r)?,
@@ -168,7 +168,7 @@ impl simkit::store::StoreValue for PairMapSummary {
     const TYPE_NAME: &'static str = "microbench::PairMapSummary";
 }
 
-impl serde::bin::Encode for BandwidthDistribution {
+impl simkit::codec::Encode for BandwidthDistribution {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.size as u64).encode(out);
         self.histogram.encode(out);
@@ -176,8 +176,8 @@ impl serde::bin::Encode for BandwidthDistribution {
     }
 }
 
-impl serde::bin::Decode for BandwidthDistribution {
-    fn decode(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::DecodeError> {
+impl simkit::codec::Decode for BandwidthDistribution {
+    fn decode(r: &mut simkit::codec::Reader<'_>) -> Result<Self, simkit::codec::DecodeError> {
         Ok(BandwidthDistribution {
             size: u64::decode(r)? as usize,
             histogram: Histogram::decode(r)?,

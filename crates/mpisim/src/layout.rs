@@ -1,14 +1,13 @@
 //! Rank-to-hardware mapping.
 
 use interconnect::topology::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// How a job's MPI ranks are laid out on the allocated nodes.
 ///
 /// Ranks are block-assigned: ranks `[i·rpn, (i+1)·rpn)` live on the `i`-th
 /// allocated node, filling NUMA domains in order — the default behaviour of
 /// both Fujitsu MPI and Intel MPI with block mapping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobLayout {
     /// The allocated nodes, in assignment order.
     pub nodes: Vec<NodeId>,

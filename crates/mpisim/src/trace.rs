@@ -6,11 +6,10 @@
 //! per rank per operation — and renders compact summaries: the time
 //! breakdown per activity and a text Gantt strip per rank.
 
-use serde::{Deserialize, Serialize};
 use simkit::units::Time;
 
 /// What a rank was doing during an interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activity {
     /// Local computation.
     Compute,
@@ -35,7 +34,7 @@ impl Activity {
 }
 
 /// One traced interval on one rank.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// The rank.
     pub rank: usize,
@@ -57,7 +56,7 @@ impl TraceEvent {
 }
 
 /// A recorded job trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// All events, in recording order.
     pub events: Vec<TraceEvent>,

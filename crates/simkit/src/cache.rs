@@ -28,7 +28,7 @@
 //! bit-identically reproduces the cached value — which is what makes
 //! mem-hit, disk-hit and miss runs, and 1-thread and N-thread engine runs,
 //! produce identical artifacts. The disk tier preserves this because the
-//! `serde::bin` codec round-trips every `f64` bit-for-bit.
+//! [`codec`](crate::codec) round-trips every `f64` bit-for-bit.
 
 use crate::store::{Store, StoreValue};
 use std::any::Any;

@@ -14,6 +14,8 @@
 //!   regenerate the paper's figures and tables.
 //! * [`cache`] — concurrency-safe, two-tier memoization of expensive
 //!   simulation sub-results, keyed by `(machine, workload, params)`.
+//! * [`codec`] — the little-endian binary codec with a bit-exact round
+//!   trip that the store persists values with.
 //! * [`store`] — the disk-backed content-addressed tier under the cache:
 //!   an append-only segment + index pair, versioned by a model-code hash,
 //!   with checksum-verified torn-tail recovery.
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod codec;
 pub mod event;
 pub mod rng;
 pub mod series;

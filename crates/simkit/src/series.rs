@@ -5,11 +5,10 @@
 //! the paper reports are checked numerically in tests, and the harness
 //! prints the same rows/series the paper plots.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One named line on a figure: `(x, y)` points in plot order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label, e.g. `"CTE-Arm"` or `"MareNostrum 4 (C)"`.
     pub label: String,
@@ -76,7 +75,7 @@ impl Series {
 }
 
 /// A figure: an identifier, axis labels, and a set of series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Figure {
     /// Identifier matching the paper, e.g. `"fig2"`.
     pub id: String,
@@ -166,7 +165,7 @@ impl Figure {
 }
 
 /// A rectangular table with named columns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Identifier matching the paper, e.g. `"table4"`.
     pub id: String,

@@ -1,12 +1,10 @@
 //! Online statistics and histograms for measurement aggregation.
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass mean/variance accumulator (Welford's algorithm).
 ///
 /// Numerically stable for long measurement streams; used to aggregate
 /// repeated benchmark runs and per-pair network measurements.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -120,7 +118,7 @@ impl OnlineStats {
 /// Used to regenerate the paper's Figure 5 (bandwidth distribution over all
 /// node pairs): the colour scale there is exactly an occurrence count per
 /// bandwidth bin.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -129,7 +127,7 @@ pub struct Histogram {
     overflow: u64,
 }
 
-impl serde::bin::Encode for Histogram {
+impl crate::codec::Encode for Histogram {
     fn encode(&self, out: &mut Vec<u8>) {
         self.lo.encode(out);
         self.hi.encode(out);
@@ -139,12 +137,31 @@ impl serde::bin::Encode for Histogram {
     }
 }
 
-impl serde::bin::Decode for Histogram {
-    fn decode(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::DecodeError> {
+impl crate::codec::Decode for Histogram {
+    /// Rejects values that break the invariants `record` and `bin_center`
+    /// rely on: non-finite bounds, `lo >= hi` or an empty bin vector.
+    fn decode(r: &mut crate::codec::Reader<'_>) -> Result<Self, crate::codec::DecodeError> {
+        let start = r.position();
+        let lo = f64::decode(r)?;
+        let hi = f64::decode(r)?;
+        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
+            return Err(crate::codec::DecodeError {
+                what: "histogram range",
+                at: start,
+            });
+        }
+        let bins_at = r.position();
+        let bins = Vec::<u64>::decode(r)?;
+        if bins.is_empty() {
+            return Err(crate::codec::DecodeError {
+                what: "histogram bins",
+                at: bins_at,
+            });
+        }
         Ok(Histogram {
-            lo: f64::decode(r)?,
-            hi: f64::decode(r)?,
-            bins: Vec::<u64>::decode(r)?,
+            lo,
+            hi,
+            bins,
             underflow: u64::decode(r)?,
             overflow: u64::decode(r)?,
         })

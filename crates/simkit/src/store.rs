@@ -9,7 +9,7 @@
 //!   Each record is `[u32 payload_len][u64 fnv-1a checksum][payload]`,
 //!   where the payload carries the full cache key (three length-prefixed
 //!   strings), a type tag ([`StoreValue::type_tag`]) and the
-//!   [`serde::bin`]-encoded value bytes. Records are never rewritten in
+//!   [`codec`]-encoded value bytes. Records are never rewritten in
 //!   place.
 //! * **Index file** (`idx-<model>.bin`): an acceleration structure
 //!   mapping the 64-bit key hash to segment offsets, rewritten atomically
@@ -40,7 +40,7 @@
 //! key and compares it to the queried key before serving the value.
 
 use crate::cache::CacheKey;
-use serde::bin::{self, Decode, Encode, Reader};
+use crate::codec::{self, Decode, Encode, Reader};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -130,7 +130,7 @@ impl Encode for crate::units::Time {
 }
 
 impl Decode for crate::units::Time {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, bin::DecodeError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, codec::DecodeError> {
         Ok(crate::units::Time::seconds(f64::decode(r)?))
     }
 }
@@ -405,7 +405,7 @@ impl Store {
         key.workload.encode(&mut payload);
         key.params.encode(&mut payload);
         T::type_tag().encode(&mut payload);
-        bin::encode_to_vec(value).encode(&mut payload);
+        codec::encode_to_vec(value).encode(&mut payload);
 
         let offset = inner.len;
         inner.file.seek(SeekFrom::Start(offset))?;
@@ -505,7 +505,7 @@ fn read_record(file: &mut File, offset: u64) -> io::Result<Vec<u8>> {
 }
 
 /// Decode just enough of a record payload to hash its key.
-fn decode_record_key_hash(payload: &[u8]) -> Result<u64, bin::DecodeError> {
+fn decode_record_key_hash(payload: &[u8]) -> Result<u64, codec::DecodeError> {
     let mut r = Reader::new(payload);
     let machine = String::decode(&mut r)?;
     let workload = String::decode(&mut r)?;
@@ -554,7 +554,7 @@ fn decode_record<T: StoreValue>(payload: &[u8], key: &CacheKey) -> RecordMatch<T
     let Ok(value_bytes) = Vec::<u8>::decode(&mut r) else {
         return RecordMatch::Corrupt;
     };
-    match bin::decode_from_slice::<T>(&value_bytes) {
+    match codec::decode_from_slice::<T>(&value_bytes) {
         Ok(v) => RecordMatch::Value(v),
         Err(_) => RecordMatch::Corrupt,
     }

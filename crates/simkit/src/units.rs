@@ -6,7 +6,6 @@
 //! on. This catches unit-mixing bugs at compile time, which matters in a
 //! code base whose whole job is arithmetic over rates and sizes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -14,7 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 macro_rules! quantity {
     ($(#[$doc:meta])* $name:ident, $unit:literal) => {
         $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {

@@ -87,7 +87,7 @@ fn golden_faults_directory_covers_every_campaign_exactly() {
     );
 }
 
-/// The inverted paper methodology is the acceptance criterion: in every
+/// The inverted paper methodology is the acceptance test: in every
 /// trial of every campaign, the outlier ranking must fingerprint exactly
 /// the injected (network-visible) nodes.
 #[test]

@@ -10,7 +10,7 @@ use kernels::stream::{StreamArrays, StreamKernel};
 
 #[test]
 fn hpl_numerics_pass_the_official_residual_check() {
-    // The same criterion the HPL binary prints PASSED/FAILED with.
+    // The same check the HPL binary prints PASSED/FAILED with.
     for seed in 1..=5 {
         let residual = hpl::verify_small_system(100, 24, seed);
         assert!(residual < 16.0, "seed {seed}: residual {residual}");

@@ -9,12 +9,16 @@
 //! * **Model-hash invalidation** — bumping the model-code hash makes the
 //!   store forget everything (old results are ignored, not deleted), and
 //!   reverting the hash brings the old results back.
+//! * **Codec contract of every stored type** — `AppRun`, `HplResult`,
+//!   `HpcgResult`, `PairMapSummary`, `BandwidthDistribution` and
+//!   `Histogram` round-trip with identical `to_bits`, reject every strict
+//!   prefix of a valid encoding, and never panic on arbitrary bytes.
 
 use apps::common::AppRun;
 use microbench::network::{BandwidthDistribution, PairMapSummary};
 use proptest::prelude::*;
-use serde::bin::{decode_from_slice, encode_to_vec, Decode, Encode};
 use simkit::cache::{Cache, CacheKey};
+use simkit::codec::{decode_from_slice, encode_to_vec, Decode, Encode};
 use simkit::stats::Histogram;
 use simkit::store::{Store, StoreValue};
 use simkit::units::Time;
@@ -24,20 +28,8 @@ use std::sync::Arc;
 mod common;
 use common::TempDir;
 
-/// Encode → decode → re-encode must reproduce the original bytes exactly.
-/// Byte equality implies bit equality of every float inside, so this is
-/// the one oracle every type below shares.
-fn assert_bin_roundtrip<T: Encode + Decode>(value: &T, what: &str) {
-    let bytes = encode_to_vec(value);
-    let back: T = decode_from_slice(&bytes).unwrap_or_else(|e| panic!("{what}: decode failed {e}"));
-    assert_eq!(
-        bytes,
-        encode_to_vec(&back),
-        "{what}: round trip not bit-identical"
-    );
-}
-
-/// Same oracle, but travelling through an on-disk store and a reopen.
+/// The round trip again, through an on-disk store and a reopen; equal
+/// encodings imply equal bits of every float inside.
 fn assert_store_roundtrip<T: StoreValue>(value: &T, what: &str) {
     let dir = TempDir::new("roundtrip");
     let key = CacheKey::new("m", what, "p");
@@ -60,6 +52,85 @@ fn assert_store_roundtrip<T: StoreValue>(value: &T, what: &str) {
     );
 }
 
+/// Floats as raw bits, so comparing them compares `to_bits`.
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+fn app_run_bits(r: &AppRun) -> Vec<u64> {
+    let mut out = vec![r.elapsed.value().to_bits()];
+    for (name, t) in &r.phases {
+        out.push(name.len() as u64);
+        out.extend(name.bytes().map(u64::from));
+        out.push(t.value().to_bits());
+    }
+    out
+}
+
+/// A histogram's observable state as bits. It also checks the bin
+/// centres and records one value, so a decoded histogram that slipped
+/// past the decoder's invariant checks (no bins, an empty or non-finite
+/// range) fails here.
+fn histogram_bits(h: &Histogram) -> Vec<u64> {
+    let centers: Vec<f64> = (0..h.bins().len()).map(|i| h.bin_center(i)).collect();
+    assert!(
+        centers.iter().all(|c| c.is_finite()) && centers.windows(2).all(|w| w[0] <= w[1]),
+        "histogram with a broken range: centres {centers:?}"
+    );
+    h.clone().record(h.bin_center(0));
+    [
+        &[h.underflow(), h.overflow()],
+        h.bins(),
+        &bits(&centers)[..],
+    ]
+    .concat()
+}
+
+/// Arbitrary bytes, plus a position and a value to overwrite one byte of
+/// a valid encoding with: random bytes alone mostly fail at the first
+/// length prefix, a corrupted encoding gets deep into a decoder.
+fn garbage() -> impl Strategy<Value = (Vec<u8>, usize, u8)> {
+    (
+        proptest::collection::vec(0u8..=255, 0..300),
+        0usize..10_000,
+        0u8..=255,
+    )
+}
+
+/// The codec contract every stored type keeps. A round trip gives the
+/// same `to_bits` (per `fingerprint`) and the same bytes, every strict
+/// prefix of a valid encoding is an `Err`, and `garbage` never panics the
+/// decoder, nor does using whatever it decodes to.
+fn assert_codec_contract<T: Encode + Decode>(
+    value: &T,
+    fingerprint: impl Fn(&T) -> Vec<u64>,
+    garbage: &(Vec<u8>, usize, u8),
+    what: &str,
+) {
+    let bytes = encode_to_vec(value);
+    let back: T = decode_from_slice(&bytes).unwrap_or_else(|e| panic!("{what}: decode failed {e}"));
+    assert_eq!(
+        fingerprint(value),
+        fingerprint(&back),
+        "{what}: to_bits differ"
+    );
+    assert_eq!(bytes, encode_to_vec(&back), "{what}: re-encoding differs");
+    for n in 0..bytes.len() {
+        assert!(
+            decode_from_slice::<T>(&bytes[..n]).is_err(),
+            "{what}: a {n}-byte prefix decoded"
+        );
+    }
+    let (noise, at, byte) = garbage;
+    let mut corrupt = bytes.clone();
+    corrupt[at % bytes.len()] = *byte;
+    for input in [&noise[..], &corrupt[..]] {
+        if let Ok(v) = decode_from_slice::<T>(input) {
+            fingerprint(&v);
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn f64_bits_survive_the_codec(bits in 0u64..u64::MAX) {
@@ -70,17 +141,23 @@ proptest! {
     }
 
     #[test]
-    fn f64_vectors_roundtrip(bits in proptest::collection::vec(0u64..u64::MAX, 0..50)) {
-        let v: Vec<f64> = bits.iter().copied().map(f64::from_bits).collect();
-        assert_bin_roundtrip(&v, "Vec<f64>");
+    fn f64_vectors_roundtrip(
+        bits_in in proptest::collection::vec(0u64..u64::MAX, 0..50),
+        garbage in garbage(),
+    ) {
+        let v: Vec<f64> = bits_in.iter().copied().map(f64::from_bits).collect();
+        assert_codec_contract(&v, |v| bits(v), &garbage, "Vec<f64>");
         let nested = vec![v.clone(), Vec::new(), v];
-        assert_bin_roundtrip(&nested, "Vec<Vec<f64>>");
+        let nested_bits =
+            |n: &Vec<Vec<f64>>| n.iter().flat_map(|v| [vec![v.len() as u64], bits(v)].concat()).collect();
+        assert_codec_contract(&nested, nested_bits, &garbage, "Vec<Vec<f64>>");
     }
 
     #[test]
     fn app_runs_roundtrip_through_disk(
         elapsed in 0u64..u64::MAX,
         phases in proptest::collection::vec((0u64..1000, 0u64..u64::MAX), 0..6),
+        garbage in garbage(),
     ) {
         let run = AppRun {
             elapsed: Time::seconds(f64::from_bits(elapsed)),
@@ -89,37 +166,54 @@ proptest! {
                 .map(|&(n, t)| (format!("phase-{n}"), Time::seconds(f64::from_bits(t))))
                 .collect(),
         };
-        assert_bin_roundtrip(&run, "AppRun");
+        assert_codec_contract(&run, app_run_bits, &garbage, "AppRun");
         assert_store_roundtrip(&run, "AppRun");
     }
 
     #[test]
     fn benchmark_results_roundtrip(a in 0u64..u64::MAX, b in 0u64..u64::MAX,
-                                   c in 0u64..u64::MAX, d in 0u64..u64::MAX) {
+                                   c in 0u64..u64::MAX, d in 0u64..u64::MAX,
+                                   garbage in garbage()) {
         let [a, b, c, d] = [a, b, c, d].map(f64::from_bits);
-        assert_bin_roundtrip(
+        assert_codec_contract(
             &hpl::HplResult { time: Time::seconds(a), gflops: b, efficiency: c, update_fraction: d },
+            |r| bits(&[r.time.value(), r.gflops, r.efficiency, r.update_fraction]),
+            &garbage,
             "HplResult",
         );
-        assert_bin_roundtrip(
+        assert_codec_contract(
             &hpcg::HpcgResult { gflops: a, fraction_of_peak: b, time: Time::seconds(c) },
+            |r| bits(&[r.gflops, r.fraction_of_peak, r.time.value()]),
+            &garbage,
             "HpcgResult",
         );
-        assert_bin_roundtrip(
+        assert_codec_contract(
             &PairMapSummary { mean: a, rx_means: vec![b, c], tx_means: vec![d] },
+            |m| [vec![m.rx_means.len() as u64], bits(&[m.mean]), bits(&m.rx_means), bits(&m.tx_means)].concat(),
+            &garbage,
             "PairMapSummary",
         );
     }
 
     #[test]
-    fn histograms_roundtrip(samples in proptest::collection::vec(-1e6f64..1e6, 1..100)) {
-        let mut histogram = Histogram::new(-1e6, 1e6, 17);
+    fn histograms_roundtrip(
+        range in (-1e9f64..1e9, 1e-3f64..1e9, 1usize..40),
+        samples in proptest::collection::vec(-2e9f64..2e9, 1..100),
+        garbage in garbage(),
+    ) {
+        let (lo, width, nbins) = range;
+        let mut histogram = Histogram::new(lo, lo + width, nbins);
         for &s in &samples {
             histogram.record(s);
         }
-        assert_bin_roundtrip(&histogram, "Histogram");
+        assert_codec_contract(&histogram, histogram_bits, &garbage, "Histogram");
         let dist = BandwidthDistribution { size: samples.len(), histogram, cv: samples[0] };
-        assert_bin_roundtrip(&dist, "BandwidthDistribution");
+        assert_codec_contract(
+            &dist,
+            |d| [vec![d.size as u64, d.cv.to_bits()], histogram_bits(&d.histogram)].concat(),
+            &garbage,
+            "BandwidthDistribution",
+        );
         assert_store_roundtrip(&vec![dist], "Vec<BandwidthDistribution>");
     }
 
