@@ -31,7 +31,12 @@ pub struct Job<'a, T: Topology> {
     compiler: &'a Compiler,
     network: &'a Network<T>,
     layout: JobLayout,
+    /// Per-rank clocks; stale while `aligned` is set.
     clocks: Vec<VirtualClock>,
+    /// `Some(c)` while every rank clock equals `c`: at launch and after any
+    /// global sync. Global operations then update `c` alone, in O(1), and
+    /// operations that move ranks apart write it back into `clocks` first.
+    aligned: Option<VirtualClock>,
     rng: Pcg32,
     algo: CollectiveAlgo,
     imbalance_sigma: f64,
@@ -66,6 +71,7 @@ impl<'a, T: Topology> Job<'a, T> {
             network,
             layout,
             clocks: vec![VirtualClock::new(); n],
+            aligned: Some(VirtualClock::new()),
             rng: Pcg32::seeded(seed),
             algo: CollectiveAlgo::Auto,
             imbalance_sigma: 0.03,
@@ -167,50 +173,63 @@ impl<'a, T: Topology> Job<'a, T> {
 
     /// The job's elapsed time so far: the latest rank clock.
     pub fn elapsed(&self) -> Time {
-        self.clocks
-            .iter()
-            .map(|c| c.now())
-            .fold(Time::ZERO, Time::max)
+        match self.aligned {
+            Some(clock) => clock.now(),
+            None => self
+                .clocks
+                .iter()
+                .map(|c| c.now())
+                .fold(Time::ZERO, Time::max),
+        }
     }
 
     /// Per-rank clock snapshot.
     pub fn rank_times(&self) -> Vec<Time> {
-        self.clocks.iter().map(|c| c.now()).collect()
+        match self.aligned {
+            Some(clock) => vec![clock.now(); self.n_ranks()],
+            None => self.clocks.iter().map(|c| c.now()).collect(),
+        }
+    }
+
+    /// Write the aligned clock back into every rank, ahead of an operation
+    /// that reads or moves ranks one by one.
+    fn materialise(&mut self) {
+        if let Some(clock) = self.aligned.take() {
+            self.clocks.fill(clock);
+        }
     }
 
     /// Every rank executes the same per-rank work chunk; each rank's time is
     /// perturbed by the imbalance noise.
     pub fn compute(&mut self, per_rank: &KernelProfile) {
-        let n = self.n_ranks();
-        self.compute_chunks(|_| per_rank.clone());
-        debug_assert_eq!(n, self.n_ranks());
-    }
-
-    /// Per-rank work chunks from a closure (heterogeneous decomposition).
-    pub fn compute_chunks(&mut self, per_rank: impl Fn(usize) -> KernelProfile) {
-        let machine = self.machine;
-        let compiler = self.compiler;
-        let cm = CostModel::new(&machine.core, &machine.memory, compiler);
-        let active = self.layout.active_cores_per_node();
-        let threads = self.layout.threads_per_rank;
-        for rank in 0..self.n_ranks() {
-            let profile = per_rank(rank);
-            // A rank's chunk is split across its OpenMP threads.
-            let per_thread = KernelProfile {
-                flops: profile.flops / threads as f64,
-                bytes: profile.bytes / threads as f64,
-                ..profile
-            };
-            let mut t = cm.chunk_time(&per_thread, active);
+        // A rank's chunk is split across its OpenMP threads. The cost model
+        // never reads the name, so the split profile leaves it empty.
+        let threads = self.layout.threads_per_rank as f64;
+        let per_thread = KernelProfile {
+            name: String::new(),
+            flops: per_rank.flops / threads,
+            bytes: per_rank.bytes / threads,
+            ..*per_rank
+        };
+        let cm = CostModel::new(&self.machine.core, &self.machine.memory, self.compiler);
+        let base = cm.chunk_time(&per_thread, self.layout.active_cores_per_node());
+        let sigma = self.imbalance_sigma;
+        let aligned = self.aligned.take();
+        let ranks = self.clocks.iter_mut().zip(&self.compute_stretch);
+        for (rank, (clock, &stretch)) in ranks.enumerate() {
             // Fault-plan slowdown: ×1.0 on healthy nodes is bit-neutral.
-            t = Time::seconds(t.value() * self.compute_stretch[rank]);
-            if self.imbalance_sigma > 0.0 {
-                t = Time::seconds(t.value() * self.rng.lognormal_noise(self.imbalance_sigma));
+            let mut t = base.value() * stretch;
+            if sigma > 0.0 {
+                t *= self.rng.lognormal_noise(sigma);
             }
-            let start = self.clocks[rank].now();
-            self.clocks[rank].advance(t);
+            let t = Time::seconds(t);
+            if let Some(a) = aligned {
+                *clock = a;
+            }
+            let start = clock.now();
+            clock.advance(t);
             if let Some(trace) = self.trace.as_mut() {
-                trace.record(rank, Activity::Compute, start, start + t, &per_thread.name);
+                trace.record(rank, Activity::Compute, start, start + t, &per_rank.name);
             }
         }
     }
@@ -230,140 +249,106 @@ impl<'a, T: Topology> Job<'a, T> {
         self.network.link().sw_overhead * 0.5 + bytes / Bandwidth::gb_per_sec(20.0)
     }
 
-    /// Align all clocks to the latest (the synchronization part of every
-    /// blocking collective), returning that time.
-    fn sync_clocks(&mut self) -> Time {
-        let latest = self.elapsed();
-        for c in &mut self.clocks {
-            c.advance_to(latest);
-        }
-        latest
-    }
-
-    /// Advance every clock by `dt`.
-    fn advance_all(&mut self, dt: Time) {
-        for c in &mut self.clocks {
-            c.advance(dt);
-        }
-    }
-
-    /// Record a blocking collective on every rank: the interval spans from
-    /// each rank's pre-sync clock to the common completion time.
-    fn record_collective(&mut self, starts: &[Time], label: &str) {
-        if self.trace.is_none() {
-            return;
-        }
-        let ends: Vec<Time> = self.clocks.iter().map(|c| c.now()).collect();
-        let trace = self.trace.as_mut().expect("checked above");
-        for (rank, (&s, &e)) in starts.iter().zip(&ends).enumerate() {
-            trace.record(rank, Activity::Collective, s, e, label);
+    /// A blocking operation over every rank: the clocks meet at the latest
+    /// one, then advance by `cost` together, which leaves them aligned.
+    /// Traced, each rank's interval spans from its own arrival to the
+    /// common completion.
+    fn blocking_all(&mut self, cost: Time, activity: Activity, label: &str) {
+        let starts = self.trace.is_some().then(|| self.rank_times());
+        let mut done = VirtualClock::new();
+        done.advance_to(self.elapsed());
+        done.advance(cost);
+        self.aligned = Some(done);
+        if let (Some(trace), Some(starts)) = (self.trace.as_mut(), starts) {
+            for (rank, start) in starts.into_iter().enumerate() {
+                trace.record(rank, activity, start, done.now(), label);
+            }
         }
     }
 
-    /// Snapshot the per-rank clocks (collective start times).
-    fn clock_snapshot(&self) -> Vec<Time> {
-        self.clocks.iter().map(|c| c.now()).collect()
-    }
-
-    /// Hierarchical collective cost: intra-node stage over the ranks of one
-    /// node, inter-node stage over node leaders.
-    fn hierarchical_cost(
-        &self,
+    /// Hierarchical blocking collective over every rank: intra-node stage
+    /// over the ranks of one node, inter-node stage over node leaders.
+    fn collective(
+        &mut self,
+        label: &str,
         bytes: Bytes,
         intra_f: impl Fn(usize, Bytes, &dyn Fn(Bytes) -> Time) -> Time,
         inter_f: impl Fn(usize, Bytes, &dyn Fn(Bytes) -> Time) -> Time,
-    ) -> Time {
-        let rpn = self.layout.ranks_per_node;
-        let nodes = self.layout.n_nodes();
-        let intra_ptp = |b: Bytes| self.intra_node_ptp(b);
-        let inter_ptp = |b: Bytes| self.inter_node_ptp(b);
-        intra_f(rpn, bytes, &intra_ptp) + inter_f(nodes, bytes, &inter_ptp)
+    ) {
+        let intra = intra_f(self.layout.ranks_per_node, bytes, &|b| {
+            self.intra_node_ptp(b)
+        });
+        let inter = inter_f(self.layout.n_nodes(), bytes, &|b| self.inter_node_ptp(b));
+        self.blocking_all(intra + inter, Activity::Collective, label);
     }
 
     /// MPI_Barrier over all ranks.
     pub fn barrier(&mut self) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
-        let rpn = self.layout.ranks_per_node;
-        let nodes = self.layout.n_nodes();
-        let cost = collectives::barrier(rpn, self.intra_node_ptp(Bytes::ZERO))
-            + collectives::barrier(nodes, self.inter_node_ptp(Bytes::ZERO));
-        self.advance_all(cost);
-        self.record_collective(&starts, "barrier");
+        self.collective(
+            "barrier",
+            Bytes::ZERO,
+            |p, b, ptp| collectives::barrier(p, ptp(b)),
+            |p, b, ptp| collectives::barrier(p, ptp(b)),
+        );
     }
 
     /// MPI_Allreduce of `bytes` per rank.
     pub fn allreduce(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let algo = self.algo;
-        let cost = self.hierarchical_cost(
+        self.collective(
+            "allreduce",
             bytes,
             |p, b, ptp| collectives::allreduce(p, b, algo, ptp),
             |p, b, ptp| collectives::allreduce(p, b, algo, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "allreduce");
     }
 
     /// MPI_Bcast of `bytes` from rank 0.
     pub fn bcast(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let algo = self.algo;
-        let cost = self.hierarchical_cost(
+        self.collective(
+            "bcast",
             bytes,
             |p, b, ptp| collectives::bcast(p, b, algo, ptp),
             |p, b, ptp| collectives::bcast(p, b, algo, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "bcast");
     }
 
     /// MPI_Reduce of `bytes` to rank 0.
     pub fn reduce(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let algo = self.algo;
-        let cost = self.hierarchical_cost(
+        self.collective(
+            "reduce",
             bytes,
             |p, b, ptp| collectives::reduce(p, b, algo, ptp),
             |p, b, ptp| collectives::reduce(p, b, algo, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "reduce");
     }
 
     /// MPI_Allgather where each rank contributes `bytes`.
     pub fn allgather(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let algo = self.algo;
         let rpn = self.layout.ranks_per_node;
-        let cost = self.hierarchical_cost(
+        self.collective(
+            "allgather",
             bytes,
             |p, b, ptp| collectives::allgather(p, b, algo, ptp),
             // Node leaders carry their node's aggregated contribution.
             |p, b, ptp| collectives::allgather(p, b * rpn as f64, algo, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "allgather");
     }
 
     /// MPI_Alltoall where each rank sends `bytes` to every other rank.
     pub fn alltoall(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let rpn = self.layout.ranks_per_node;
-        let cost = self.hierarchical_cost(
+        self.collective(
+            "alltoall",
             bytes,
             |p, b, ptp| collectives::alltoall(p, b, ptp),
             // Inter-node traffic: each node exchanges rpn² rank-pair
             // payloads with every other node.
             |p, b, ptp| collectives::alltoall(p, b * (rpn * rpn) as f64, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "alltoall");
     }
 
     /// Allreduce over a sub-communicator (e.g. HPL's grid rows/columns):
@@ -373,24 +358,20 @@ impl<'a, T: Topology> Job<'a, T> {
     /// # Panics
     /// Panics on duplicate or out-of-range ranks.
     pub fn allreduce_among(&mut self, ranks: &[usize], bytes: Bytes) {
-        if ranks.len() <= 1 {
-            return;
-        }
         let mut seen = vec![false; self.n_ranks()];
         for &r in ranks {
             assert!(r < self.n_ranks(), "rank out of range");
             assert!(!seen[r], "duplicate rank in sub-communicator");
             seen[r] = true;
         }
-        let starts = self.clock_snapshot();
-        // Synchronize the subset.
+        if ranks.len() <= 1 {
+            return;
+        }
+        self.materialise();
         let latest = ranks
             .iter()
             .map(|&r| self.clocks[r].now())
             .fold(Time::ZERO, Time::max);
-        for &r in ranks {
-            self.clocks[r].advance_to(latest);
-        }
         // Cost: how many distinct nodes does the subset span?
         let mut nodes: Vec<_> = ranks.iter().map(|&r| self.layout.node_of(r)).collect();
         nodes.sort_unstable();
@@ -400,55 +381,47 @@ impl<'a, T: Topology> Job<'a, T> {
         let cost = collectives::allreduce(per_node, bytes, algo, |b| self.intra_node_ptp(b))
             + collectives::allreduce(nodes.len(), bytes, algo, |b| self.inter_node_ptp(b));
         for &r in ranks {
-            self.clocks[r].advance(cost);
-        }
-        let ends: Vec<Time> = ranks.iter().map(|&r| self.clocks[r].now()).collect();
-        if let Some(trace) = self.trace.as_mut() {
-            for (&r, &e) in ranks.iter().zip(&ends) {
-                trace.record(r, Activity::Collective, starts[r], e, "allreduce(sub)");
+            let clock = &mut self.clocks[r];
+            let start = clock.now();
+            clock.advance_to(latest);
+            clock.advance(cost);
+            let end = clock.now();
+            if let Some(trace) = self.trace.as_mut() {
+                trace.record(r, Activity::Collective, start, end, "allreduce(sub)");
             }
         }
     }
 
     /// MPI_Gather of `bytes` per rank to rank 0.
     pub fn gather(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
         let rpn = self.layout.ranks_per_node;
-        let cost = self.hierarchical_cost(
+        self.collective(
+            "gather",
             bytes,
             |p, b, ptp| collectives::gather(p, b, ptp),
             // Node leaders forward their node's aggregate.
             |p, b, ptp| collectives::gather(p, b * rpn as f64, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "gather");
     }
 
     /// MPI_Reduce_scatter of `bytes` per rank.
     pub fn reduce_scatter(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
-        let cost = self.hierarchical_cost(
+        self.collective(
+            "reduce_scatter",
             bytes,
             |p, b, ptp| collectives::reduce_scatter(p, b, ptp),
             |p, b, ptp| collectives::reduce_scatter(p, b, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "reduce_scatter");
     }
 
     /// MPI_Scan (inclusive prefix) of `bytes` per rank.
     pub fn scan(&mut self, bytes: Bytes) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
-        let cost = self.hierarchical_cost(
+        self.collective(
+            "scan",
             bytes,
             |p, b, ptp| collectives::scan(p, b, ptp),
             |p, b, ptp| collectives::scan(p, b, ptp),
         );
-        self.advance_all(cost);
-        self.record_collective(&starts, "scan");
     }
 
     /// Paired MPI_Sendrecv between two ranks: both clocks meet, then pay the
@@ -458,15 +431,15 @@ impl<'a, T: Topology> Job<'a, T> {
             a < self.n_ranks() && b < self.n_ranks(),
             "rank out of range"
         );
-        let start = self.clocks[a].now().max(self.clocks[b].now());
+        self.materialise();
         let t = if self.layout.same_node(a, b) {
             self.intra_node_ptp(bytes)
         } else {
             self.network
                 .message_time(self.layout.node_of(a), self.layout.node_of(b), bytes)
         };
-        let end = start + t;
         let (sa, sb) = (self.clocks[a].now(), self.clocks[b].now());
+        let end = sa.max(sb) + t;
         self.clocks[a].advance_to(end);
         self.clocks[b].advance_to(end);
         if let Some(trace) = self.trace.as_mut() {
@@ -484,6 +457,7 @@ impl<'a, T: Topology> Job<'a, T> {
         &mut self,
         neighbors: impl Fn(usize) -> Vec<(usize, Bytes)>,
     ) -> PendingHalo {
+        self.materialise();
         let sw = self.network.link().sw_overhead;
         let mut completion = Vec::with_capacity(self.n_ranks());
         for rank in 0..self.n_ranks() {
@@ -525,6 +499,7 @@ impl<'a, T: Topology> Job<'a, T> {
             self.n_ranks(),
             "pending halo from a different job"
         );
+        self.materialise();
         for (rank, &done) in pending.completion.iter().enumerate() {
             let start = self.clocks[rank].now();
             self.clocks[rank].advance_to(done);
@@ -550,15 +525,7 @@ impl<'a, T: Topology> Job<'a, T> {
     /// filesystem of the given sustained bandwidth (used for WRF's hourly
     /// frames). All ranks block until the write drains.
     pub fn parallel_write(&mut self, total_bytes: Bytes, fs_bandwidth: Bandwidth) {
-        let starts = self.clock_snapshot();
-        self.sync_clocks();
-        self.advance_all(total_bytes / fs_bandwidth);
-        let ends: Vec<Time> = self.clocks.iter().map(|c| c.now()).collect();
-        if let Some(trace) = self.trace.as_mut() {
-            for (rank, (&s, &e)) in starts.iter().zip(&ends).enumerate() {
-                trace.record(rank, Activity::Io, s, e, "parallel_write");
-            }
-        }
+        self.blocking_all(total_bytes / fs_bandwidth, Activity::Io, "parallel_write");
     }
 }
 
@@ -980,5 +947,553 @@ mod tests {
         let (m, c, net) = cte_job(1, 4, 1);
         let mut job = Job::new(&m, &c, &net, layout(&m, 1, 4, 1), 1);
         job.sendrecv(0, 4, Bytes::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank out of range")]
+    fn subset_allreduce_checks_a_single_rank_too() {
+        let (m, c, net) = cte_job(1, 4, 1);
+        let mut job = Job::new(&m, &c, &net, layout(&m, 1, 4, 1), 1);
+        job.allreduce_among(&[99], Bytes::kib(1.0));
+    }
+
+    /// The per-rank stepper `Job` replaced: one profile clone and one
+    /// `chunk_time` per rank, every sync and advance over every clock, and a
+    /// full clock snapshot per collective. The oracle test below holds `Job`
+    /// to it bit for bit.
+    struct Reference<'a, T: Topology> {
+        machine: &'a Machine,
+        compiler: &'a Compiler,
+        network: &'a Network<T>,
+        layout: JobLayout,
+        clocks: Vec<VirtualClock>,
+        rng: Pcg32,
+        algo: CollectiveAlgo,
+        imbalance_sigma: f64,
+        compute_stretch: Vec<f64>,
+        far_cost: PathCost,
+        trace: Option<Trace>,
+    }
+
+    impl<'a, T: Topology> Reference<'a, T> {
+        #[allow(clippy::too_many_arguments)]
+        fn new(
+            machine: &'a Machine,
+            compiler: &'a Compiler,
+            network: &'a Network<T>,
+            layout: JobLayout,
+            seed: u64,
+            algo: CollectiveAlgo,
+            imbalance_sigma: f64,
+            faults: &JobFaults,
+            traced: bool,
+        ) -> Self {
+            let far_pair = Job::farthest_pair(network, &layout);
+            let n = layout.n_ranks();
+            Self {
+                machine,
+                compiler,
+                network,
+                clocks: vec![VirtualClock::new(); n],
+                rng: Pcg32::seeded(seed),
+                algo,
+                imbalance_sigma,
+                compute_stretch: (0..n)
+                    .map(|r| faults.compute_stretch(layout.node_of(r)))
+                    .collect(),
+                far_cost: network.path_cost(far_pair.0, far_pair.1),
+                trace: traced.then(Trace::new),
+                layout,
+            }
+        }
+
+        fn n_ranks(&self) -> usize {
+            self.layout.n_ranks()
+        }
+
+        fn elapsed(&self) -> Time {
+            self.clocks
+                .iter()
+                .map(|c| c.now())
+                .fold(Time::ZERO, Time::max)
+        }
+
+        fn rank_times(&self) -> Vec<Time> {
+            self.clocks.iter().map(|c| c.now()).collect()
+        }
+
+        fn compute(&mut self, per_rank: &KernelProfile) {
+            let cm = CostModel::new(&self.machine.core, &self.machine.memory, self.compiler);
+            let active = self.layout.active_cores_per_node();
+            let threads = self.layout.threads_per_rank;
+            for rank in 0..self.n_ranks() {
+                let profile = per_rank.clone();
+                let per_thread = KernelProfile {
+                    flops: profile.flops / threads as f64,
+                    bytes: profile.bytes / threads as f64,
+                    ..profile
+                };
+                let mut t = cm.chunk_time(&per_thread, active);
+                t = Time::seconds(t.value() * self.compute_stretch[rank]);
+                if self.imbalance_sigma > 0.0 {
+                    t = Time::seconds(t.value() * self.rng.lognormal_noise(self.imbalance_sigma));
+                }
+                let start = self.clocks[rank].now();
+                self.clocks[rank].advance(t);
+                if let Some(trace) = self.trace.as_mut() {
+                    trace.record(rank, Activity::Compute, start, start + t, &per_thread.name);
+                }
+            }
+        }
+
+        fn inter_node_ptp(&self, bytes: Bytes) -> Time {
+            self.network.message_time_with(&self.far_cost, bytes)
+        }
+
+        fn intra_node_ptp(&self, bytes: Bytes) -> Time {
+            self.network.link().sw_overhead * 0.5 + bytes / Bandwidth::gb_per_sec(20.0)
+        }
+
+        fn sync_clocks(&mut self) -> Time {
+            let latest = self.elapsed();
+            for c in &mut self.clocks {
+                c.advance_to(latest);
+            }
+            latest
+        }
+
+        fn advance_all(&mut self, dt: Time) {
+            for c in &mut self.clocks {
+                c.advance(dt);
+            }
+        }
+
+        fn record_all(&mut self, starts: &[Time], activity: Activity, label: &str) {
+            let ends = self.rank_times();
+            if let Some(trace) = self.trace.as_mut() {
+                for (rank, (&s, &e)) in starts.iter().zip(&ends).enumerate() {
+                    trace.record(rank, activity, s, e, label);
+                }
+            }
+        }
+
+        fn hierarchical(
+            &mut self,
+            label: &str,
+            bytes: Bytes,
+            intra_f: impl Fn(usize, Bytes, &dyn Fn(Bytes) -> Time) -> Time,
+            inter_f: impl Fn(usize, Bytes, &dyn Fn(Bytes) -> Time) -> Time,
+        ) {
+            let starts = self.rank_times();
+            self.sync_clocks();
+            let rpn = self.layout.ranks_per_node;
+            let nodes = self.layout.n_nodes();
+            let cost = intra_f(rpn, bytes, &|b| self.intra_node_ptp(b))
+                + inter_f(nodes, bytes, &|b| self.inter_node_ptp(b));
+            self.advance_all(cost);
+            self.record_all(&starts, Activity::Collective, label);
+        }
+
+        fn barrier(&mut self) {
+            let starts = self.rank_times();
+            self.sync_clocks();
+            let rpn = self.layout.ranks_per_node;
+            let nodes = self.layout.n_nodes();
+            let cost = collectives::barrier(rpn, self.intra_node_ptp(Bytes::ZERO))
+                + collectives::barrier(nodes, self.inter_node_ptp(Bytes::ZERO));
+            self.advance_all(cost);
+            self.record_all(&starts, Activity::Collective, "barrier");
+        }
+
+        fn allreduce(&mut self, bytes: Bytes) {
+            let algo = self.algo;
+            let f =
+                move |p, b, ptp: &dyn Fn(Bytes) -> Time| collectives::allreduce(p, b, algo, ptp);
+            self.hierarchical("allreduce", bytes, f, f);
+        }
+
+        fn bcast(&mut self, bytes: Bytes) {
+            let algo = self.algo;
+            let f = move |p, b, ptp: &dyn Fn(Bytes) -> Time| collectives::bcast(p, b, algo, ptp);
+            self.hierarchical("bcast", bytes, f, f);
+        }
+
+        fn reduce(&mut self, bytes: Bytes) {
+            let algo = self.algo;
+            let f = move |p, b, ptp: &dyn Fn(Bytes) -> Time| collectives::reduce(p, b, algo, ptp);
+            self.hierarchical("reduce", bytes, f, f);
+        }
+
+        fn allgather(&mut self, bytes: Bytes) {
+            let (algo, rpn) = (self.algo, self.layout.ranks_per_node);
+            self.hierarchical(
+                "allgather",
+                bytes,
+                |p, b, ptp| collectives::allgather(p, b, algo, ptp),
+                |p, b, ptp| collectives::allgather(p, b * rpn as f64, algo, ptp),
+            );
+        }
+
+        fn alltoall(&mut self, bytes: Bytes) {
+            let rpn = self.layout.ranks_per_node;
+            self.hierarchical(
+                "alltoall",
+                bytes,
+                |p, b, ptp| collectives::alltoall(p, b, ptp),
+                |p, b, ptp| collectives::alltoall(p, b * (rpn * rpn) as f64, ptp),
+            );
+        }
+
+        fn gather(&mut self, bytes: Bytes) {
+            let rpn = self.layout.ranks_per_node;
+            self.hierarchical(
+                "gather",
+                bytes,
+                |p, b, ptp| collectives::gather(p, b, ptp),
+                |p, b, ptp| collectives::gather(p, b * rpn as f64, ptp),
+            );
+        }
+
+        fn reduce_scatter(&mut self, bytes: Bytes) {
+            let f = |p, b, ptp: &dyn Fn(Bytes) -> Time| collectives::reduce_scatter(p, b, ptp);
+            self.hierarchical("reduce_scatter", bytes, f, f);
+        }
+
+        fn scan(&mut self, bytes: Bytes) {
+            let f = |p, b, ptp: &dyn Fn(Bytes) -> Time| collectives::scan(p, b, ptp);
+            self.hierarchical("scan", bytes, f, f);
+        }
+
+        fn allreduce_among(&mut self, ranks: &[usize], bytes: Bytes) {
+            if ranks.len() <= 1 {
+                return;
+            }
+            let starts = self.rank_times();
+            let latest = ranks
+                .iter()
+                .map(|&r| self.clocks[r].now())
+                .fold(Time::ZERO, Time::max);
+            for &r in ranks {
+                self.clocks[r].advance_to(latest);
+            }
+            let mut nodes: Vec<_> = ranks.iter().map(|&r| self.layout.node_of(r)).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            let per_node = ranks.len().div_ceil(nodes.len());
+            let algo = self.algo;
+            let cost = collectives::allreduce(per_node, bytes, algo, |b| self.intra_node_ptp(b))
+                + collectives::allreduce(nodes.len(), bytes, algo, |b| self.inter_node_ptp(b));
+            for &r in ranks {
+                self.clocks[r].advance(cost);
+            }
+            let ends: Vec<Time> = ranks.iter().map(|&r| self.clocks[r].now()).collect();
+            if let Some(trace) = self.trace.as_mut() {
+                for (&r, &e) in ranks.iter().zip(&ends) {
+                    trace.record(r, Activity::Collective, starts[r], e, "allreduce(sub)");
+                }
+            }
+        }
+
+        fn sendrecv(&mut self, a: usize, b: usize, bytes: Bytes) {
+            let start = self.clocks[a].now().max(self.clocks[b].now());
+            let t = if self.layout.same_node(a, b) {
+                self.intra_node_ptp(bytes)
+            } else {
+                self.network
+                    .message_time(self.layout.node_of(a), self.layout.node_of(b), bytes)
+            };
+            let end = start + t;
+            let (sa, sb) = (self.clocks[a].now(), self.clocks[b].now());
+            self.clocks[a].advance_to(end);
+            self.clocks[b].advance_to(end);
+            if let Some(trace) = self.trace.as_mut() {
+                trace.record(a, Activity::PointToPoint, sa, end, "sendrecv");
+                trace.record(b, Activity::PointToPoint, sb, end, "sendrecv");
+            }
+        }
+
+        fn post_neighbor_exchange(
+            &mut self,
+            neighbors: impl Fn(usize) -> Vec<(usize, Bytes)>,
+        ) -> Vec<Time> {
+            let sw = self.network.link().sw_overhead;
+            let mut completion = Vec::with_capacity(self.n_ranks());
+            for rank in 0..self.n_ranks() {
+                let msgs = neighbors(rank);
+                if msgs.is_empty() {
+                    completion.push(self.clocks[rank].now());
+                    continue;
+                }
+                let inject = sw * msgs.len() as f64;
+                let start = self.clocks[rank].now();
+                self.clocks[rank].advance(inject);
+                let mut slowest = Time::ZERO;
+                for &(peer, bytes) in &msgs {
+                    let t = if self.layout.same_node(rank, peer) {
+                        self.intra_node_ptp(bytes)
+                    } else {
+                        self.network.message_time(
+                            self.layout.node_of(rank),
+                            self.layout.node_of(peer),
+                            bytes,
+                        )
+                    };
+                    slowest = slowest.max(t);
+                }
+                completion.push(start + inject + slowest);
+            }
+            completion
+        }
+
+        fn wait_halo(&mut self, completion: Vec<Time>) {
+            for (rank, &done) in completion.iter().enumerate() {
+                let start = self.clocks[rank].now();
+                self.clocks[rank].advance_to(done);
+                if let Some(trace) = self.trace.as_mut() {
+                    let end = start.max(done);
+                    if end > start {
+                        trace.record(rank, Activity::PointToPoint, start, end, "halo-wait");
+                    }
+                }
+            }
+        }
+
+        fn neighbor_exchange(&mut self, neighbors: impl Fn(usize) -> Vec<(usize, Bytes)>) {
+            let pending = self.post_neighbor_exchange(neighbors);
+            self.wait_halo(pending);
+        }
+
+        fn parallel_write(&mut self, total_bytes: Bytes, fs_bandwidth: Bandwidth) {
+            let starts = self.rank_times();
+            self.sync_clocks();
+            self.advance_all(total_bytes / fs_bandwidth);
+            self.record_all(&starts, Activity::Io, "parallel_write");
+        }
+    }
+
+    /// A ring halo pattern: every rank talks to the rank `stride` ahead
+    /// (and, if `both`, behind); ranks divisible by `idle_every` send
+    /// nothing.
+    #[derive(Clone, Copy, Debug)]
+    struct Ring {
+        stride: usize,
+        both: bool,
+        idle_every: usize,
+        bytes: Bytes,
+    }
+
+    impl Ring {
+        fn peers(self, n: usize) -> impl Fn(usize) -> Vec<(usize, Bytes)> {
+            move |r| {
+                if r % self.idle_every == 0 {
+                    return Vec::new();
+                }
+                let mut v = vec![((r + self.stride) % n, self.bytes)];
+                if self.both {
+                    v.push(((r + n - self.stride % n) % n, self.bytes));
+                }
+                v
+            }
+        }
+    }
+
+    /// One step of an oracle script: every public `Job` operation.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Compute(KernelProfile),
+        Barrier,
+        Allreduce(Bytes),
+        Bcast(Bytes),
+        Reduce(Bytes),
+        Allgather(Bytes),
+        Alltoall(Bytes),
+        Gather(Bytes),
+        ReduceScatter(Bytes),
+        Scan(Bytes),
+        Halo(Ring),
+        Overlap(Ring, KernelProfile),
+        Sendrecv(usize, usize, Bytes),
+        AllreduceAmong(Vec<usize>, Bytes),
+        Write(Bytes, Bandwidth),
+    }
+
+    impl Op {
+        fn random(rng: &mut Pcg32, n: usize) -> Self {
+            let bytes = Bytes::new(rng.uniform(0.0, 4.0e6).floor());
+            let profile = |rng: &mut Pcg32| {
+                KernelProfile::dp("chunk", rng.uniform(1e6, 1e10), rng.uniform(0.0, 1e9))
+                    .with_vectorizable(rng.uniform(0.0, 1.0))
+            };
+            let ring = |rng: &mut Pcg32| Ring {
+                stride: 1 + rng.next_below(n as u32) as usize,
+                both: rng.next_below(2) == 0,
+                idle_every: 2 + rng.next_below(8) as usize,
+                bytes,
+            };
+            match rng.next_below(15) {
+                0 => Op::Compute(profile(rng)),
+                1 => Op::Barrier,
+                2 => Op::Allreduce(bytes),
+                3 => Op::Bcast(bytes),
+                4 => Op::Reduce(bytes),
+                5 => Op::Allgather(bytes),
+                6 => Op::Alltoall(bytes),
+                7 => Op::Gather(bytes),
+                8 => Op::ReduceScatter(bytes),
+                9 => Op::Scan(bytes),
+                10 => Op::Halo(ring(rng)),
+                11 => Op::Overlap(ring(rng), profile(rng)),
+                12 => Op::Sendrecv(
+                    rng.next_below(n as u32) as usize,
+                    rng.next_below(n as u32) as usize,
+                    bytes,
+                ),
+                13 => {
+                    let mut ranks: Vec<usize> = (0..n).collect();
+                    rng.shuffle(&mut ranks);
+                    ranks.truncate(rng.next_below(n as u32 + 1) as usize);
+                    Op::AllreduceAmong(ranks, bytes)
+                }
+                _ => Op::Write(bytes, Bandwidth::gb_per_sec(rng.uniform(1.0, 50.0))),
+            }
+        }
+    }
+
+    /// Apply one `Op` to a `Job` or a `Reference` (same method names).
+    macro_rules! apply {
+        ($s:expr, $op:expr) => {{
+            let n = $s.n_ranks();
+            match $op {
+                Op::Compute(p) => $s.compute(p),
+                Op::Barrier => $s.barrier(),
+                Op::Allreduce(b) => $s.allreduce(*b),
+                Op::Bcast(b) => $s.bcast(*b),
+                Op::Reduce(b) => $s.reduce(*b),
+                Op::Allgather(b) => $s.allgather(*b),
+                Op::Alltoall(b) => $s.alltoall(*b),
+                Op::Gather(b) => $s.gather(*b),
+                Op::ReduceScatter(b) => $s.reduce_scatter(*b),
+                Op::Scan(b) => $s.scan(*b),
+                Op::Halo(ring) => $s.neighbor_exchange(ring.peers(n)),
+                Op::Overlap(ring, p) => {
+                    let pending = $s.post_neighbor_exchange(ring.peers(n));
+                    $s.compute(p);
+                    $s.wait_halo(pending);
+                }
+                Op::Sendrecv(a, b, bytes) => $s.sendrecv(*a, *b, *bytes),
+                Op::AllreduceAmong(ranks, b) => $s.allreduce_among(ranks, *b),
+                Op::Write(b, bw) => $s.parallel_write(*b, *bw),
+            }
+        }};
+    }
+
+    fn assert_same_state<T: Topology>(job: &Job<T>, reference: &Reference<T>, at: &str) {
+        let bits = |ts: Vec<Time>| ts.iter().map(|t| t.value().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(job.rank_times()), bits(reference.rank_times()), "{at}");
+        assert_eq!(
+            job.elapsed().value().to_bits(),
+            reference.elapsed().value().to_bits(),
+            "{at}"
+        );
+        match (job.trace(), reference.trace.as_ref()) {
+            (None, None) => {}
+            (Some(got), Some(want)) => {
+                assert_eq!(got.events.len(), want.events.len(), "{at}: event count");
+                for (i, (g, w)) in got.events.iter().zip(&want.events).enumerate() {
+                    assert_eq!(g.rank, w.rank, "{at}: event {i} rank");
+                    assert_eq!(g.activity, w.activity, "{at}: event {i} activity");
+                    assert_eq!(
+                        g.start.value().to_bits(),
+                        w.start.value().to_bits(),
+                        "{at}: event {i} start"
+                    );
+                    assert_eq!(
+                        g.end.value().to_bits(),
+                        w.end.value().to_bits(),
+                        "{at}: event {i} end"
+                    );
+                    assert_eq!(g.label, w.label, "{at}: event {i} label");
+                }
+            }
+            _ => panic!("{at}: tracing differs"),
+        }
+    }
+
+    /// Run `script` on a fresh `Job` and its `Reference` twin under every
+    /// σ × fault × tracing combination, comparing after each step.
+    fn check_script<T: Topology>(
+        (m, c, net): (&Machine, &Compiler, &Network<T>),
+        nodes: &[NodeId],
+        (rpn, tpr): (usize, usize),
+        (seed, algo, sigma, slow): (u64, CollectiveAlgo, f64, &JobFaults),
+        script: &[Op],
+    ) {
+        let l = JobLayout::new(
+            nodes.to_vec(),
+            rpn,
+            tpr,
+            m.memory.n_domains,
+            m.cores_per_node(),
+        );
+        for sigma in [0.0, sigma] {
+            for faults in [&JobFaults::none(), slow] {
+                for traced in [false, true] {
+                    let mut job = Job::new(m, c, net, l.clone(), seed)
+                        .with_collective_algo(algo)
+                        .with_imbalance(sigma)
+                        .with_faults(faults);
+                    if traced {
+                        job = job.with_tracing();
+                    }
+                    let mut reference =
+                        Reference::new(m, c, net, l.clone(), seed, algo, sigma, faults, traced);
+                    for (i, op) in script.iter().enumerate() {
+                        apply!(job, op);
+                        apply!(reference, op);
+                        let at = format!(
+                            "seed {seed} {algo:?} σ={sigma} faulted={} traced={traced} \
+                             step {i} {op:?}",
+                            !faults.is_empty()
+                        );
+                        assert_same_state(&job, &reference, &at);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn job_is_bit_identical_to_the_per_rank_reference() {
+        use interconnect::faults::{Fault, FaultPlan};
+        let (cte, gnu) = (cte_arm(), Compiler::gnu_sve());
+        let tofu = Network::new(TofuD::cte_arm(), LinkModel::tofud());
+        let (mn4, intel) = (marenostrum4(), Compiler::intel());
+        let fat = Network::new(FatTree::marenostrum4(), LinkModel::omnipath());
+        let cores = cte.cores_per_node().min(mn4.cores_per_node());
+        let algos = [
+            CollectiveAlgo::Auto,
+            CollectiveAlgo::BinomialTree,
+            CollectiveAlgo::Ring,
+        ];
+        let mut rng = Pcg32::seeded(0x5eed);
+        for seed in 0..320u64 {
+            let n_nodes = 1 + rng.next_below(6) as usize;
+            let rpn = *rng.choose(&[1, 2, 3, 4, 8, 12, 48]);
+            let tpr = 1 + rng.next_below((cores / rpn) as u32) as usize;
+            let mut nodes: Vec<NodeId> = (0..24).map(NodeId).collect();
+            rng.shuffle(&mut nodes);
+            nodes.truncate(n_nodes);
+            let slow = JobFaults::from_plan(&FaultPlan::new("slow").with(Fault::Slowdown {
+                node: *rng.choose(&nodes),
+                factor: rng.uniform(0.3, 0.9),
+            }));
+            let run = (seed, *rng.choose(&algos), rng.uniform(0.01, 0.3), &slow);
+            let len = 4 + rng.next_below(12) as usize;
+            let script: Vec<Op> = (0..len)
+                .map(|_| Op::random(&mut rng, n_nodes * rpn))
+                .collect();
+            check_script((&cte, &gnu, &tofu), &nodes, (rpn, tpr), run, &script);
+            check_script((&mn4, &intel, &fat), &nodes, (rpn, tpr), run, &script);
+        }
     }
 }
