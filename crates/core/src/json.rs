@@ -80,11 +80,17 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so a bound keeps a hostile request line from
+/// overflowing the stack; protocol requests nest three deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document, requiring it to consume the whole input.
+/// Nesting deeper than 128 arrays/objects is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -98,10 +104,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parse the value at `pos`, inside `depth` enclosing arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut map = BTreeMap::new();
@@ -112,7 +122,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Value::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -121,7 +131,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                map.insert(key, parse_value(b, pos)?);
+                map.insert(key, parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -142,7 +152,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Arr(arr));
             }
             loop {
-                arr.push(parse_value(b, pos)?);
+                arr.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -279,6 +289,18 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("{1: 2}").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let err = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Far past any stack: rejected at the limit, not by overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -115,6 +115,21 @@ const DAY_S: f64 = 86_400.0;
 const DUR_MEDIAN_S: f64 = 900.0;
 const DUR_SIGMA: f64 = 1.1;
 
+/// Standard normal deviate via the Box–Muller transform (the second
+/// deviate is discarded). The replay stream is defined by this transform:
+/// `tests/golden/sched/smoke.csv`, the sched row of `BENCH_host.json` and
+/// the `replay` benchmark workload all pin it, so it stays here rather
+/// than following `Pcg32::normal` to a different sampler.
+fn box_muller(rng: &mut Pcg32) -> f64 {
+    // Draw until u is strictly positive so ln(u) is finite.
+    let mut u = rng.next_f64();
+    while u <= f64::MIN_POSITIVE {
+        u = rng.next_f64();
+    }
+    let v = rng.next_f64();
+    (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
+}
+
 impl ReplaySpec {
     /// A production-like stream on a cluster, at 75 % offered load.
     pub fn new(cluster_nodes: usize, days: usize, jobs_per_day: usize) -> Self {
@@ -186,13 +201,13 @@ impl ReplaySpec {
                         base + rng.next_below(base as u32) as usize
                     }
                 };
-                let duration =
-                    (DUR_MEDIAN_S * (DUR_SIGMA * rng.normal()).exp()).clamp(60.0, DAY_S / 2.0);
+                let duration = (DUR_MEDIAN_S * (DUR_SIGMA * box_muller(&mut rng)).exp())
+                    .clamp(60.0, DAY_S / 2.0);
                 let submit = if rng.next_f64() < 0.3 {
                     day_start + rng.uniform(0.0, DAY_S) // background arrivals
                 } else {
                     let c = centers[rng.next_below(BURSTS_PER_DAY as u32) as usize];
-                    (c + rng.normal_with(0.0, 900.0)).clamp(day_start, day_start + DAY_S - 1.0)
+                    (c + 900.0 * box_muller(&mut rng)).clamp(day_start, day_start + DAY_S - 1.0)
                 };
                 out.push(JobRequest {
                     id,
@@ -215,6 +230,25 @@ impl ReplaySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn box_muller_reproduces_the_replay_streams_normals() {
+        // Seed 2026's first eight Box–Muller deviates. Replay streams are
+        // built from this sequence, so it must not move by a bit.
+        let want: [u64; 8] = [
+            0x3ff6370185df061a,
+            0x3fe3e2b6fe0fb72f,
+            0x3fef060dea42eaef,
+            0xbfdb175bbb0e8e3f,
+            0x3fddc19e6b62344f,
+            0xbff2a446fc855cf9,
+            0x3fb359f642bed2ce,
+            0xbfdecce4505f7d21,
+        ];
+        let mut rng = Pcg32::seeded(2026);
+        let got: Vec<u64> = (0..8).map(|_| box_muller(&mut rng).to_bits()).collect();
+        assert_eq!(got, want);
+    }
 
     #[test]
     fn generates_requested_count_sorted() {

@@ -35,7 +35,7 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Identity of one memoized sub-result.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -162,13 +162,17 @@ impl Cache {
     ///
     /// Concurrent callers of the same key block until the first computation
     /// finishes; exactly one miss is ever charged per key.
+    ///
+    /// A `compute` that panics leaves the slot empty and charges nothing:
+    /// the value is stored only on success, so the next caller of the key
+    /// recovers the slot from the poisoned lock and computes again.
     pub fn get_or<T, F>(&self, key: CacheKey, compute: F) -> T
     where
         T: Clone + Send + Sync + 'static,
         F: FnOnce() -> T,
     {
         let slot = self.slot(&key);
-        let mut value = slot.lock().expect("cache slot lock");
+        let mut value = slot.lock().unwrap_or_else(PoisonError::into_inner);
         match value.as_ref() {
             Some(stored) => {
                 self.charge_mem_hit();
@@ -200,7 +204,7 @@ impl Cache {
         F: FnOnce() -> T,
     {
         let slot = self.slot(&key);
-        let mut value = slot.lock().expect("cache slot lock");
+        let mut value = slot.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(stored) = value.as_ref() {
             self.charge_mem_hit();
             return stored
@@ -407,6 +411,42 @@ mod tests {
         // And the disk hit primed the memory tier.
         let _: f64 = fresh.get_or_persistent(key, || panic!("mem hit expected"));
         assert_eq!(fresh.mem_hits(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_compute_leaves_its_key_usable() {
+        let (store, dir) = temp_store("poison");
+        let cache = Cache::with_store(store);
+        let (mem, disk) = (
+            CacheKey::new("m", "w", "mem"),
+            CacheKey::new("m", "w", "disk"),
+        );
+        let boom = || -> u64 { panic!("model assert") };
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or(mem.clone(), boom)
+        }));
+        assert!(first.is_err());
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_persistent(disk.clone(), boom)
+        }));
+        assert!(first.is_err());
+        assert_eq!(
+            cache.counters(),
+            TierCounters::default(),
+            "a panic is not a miss"
+        );
+
+        assert_eq!(cache.get_or(mem.clone(), || 7u64), 7);
+        assert_eq!(cache.get_or(mem, || 8u64), 7);
+        assert_eq!(cache.get_or_persistent(disk.clone(), || 9u64), 9);
+        assert_eq!(cache.get_or_persistent(disk, || 10u64), 9);
+        let want = TierCounters {
+            mem_hits: 2,
+            disk_hits: 0,
+            misses: 2,
+        };
+        assert_eq!(cache.counters(), want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,9 +2,52 @@
 //!
 //! All stochastic behaviour in the simulator (workload generation, noise
 //! injection, node-failure placement) flows through [`Pcg32`], a
-//! self-contained implementation of the PCG-XSH-RR 64/32 generator. Results
-//! are identical on every platform and every run with the same seed, which
-//! the integration tests rely on.
+//! self-contained implementation of the PCG-XSH-RR 64/32 generator. The
+//! integer stream is identical on every platform and every run with the
+//! same seed, which the integration tests rely on.
+//!
+//! Normal deviates come from the 256-layer ziggurat (Marsaglia & Tsang
+//! 2000, in Doornik's 2005 form). 98.5 % of draws cost one `next_u64`, one
+//! multiply and one compare; the rest land in a wedge and pay one `exp`,
+//! or (0.03 %) in the tail beyond `R`, sampled by Marsaglia's exponential
+//! rejection (two `ln`s per try). The layer tables are built once, on
+//! first use, from their defining recurrence. Floating-point draws
+//! therefore depend on the platform libm's `exp` and `ln` (through the
+//! tables, the wedge and the tail), as they did under Box–Muller:
+//! bit-identical across runs, thread counts and hosts sharing a libm, not
+//! guaranteed across libms.
+
+use std::sync::LazyLock;
+
+/// Number of ziggurat layers; a draw's low 8 bits pick one.
+const ZIG_LAYERS: usize = 256;
+/// Where the base layer's rectangle ends and the normal tail begins.
+const ZIG_R: f64 = 3.654_152_885_361_009;
+/// Area of every layer under `f(x) = exp(-x²/2)`: `R·f(R)` plus the tail
+/// beyond `R`. The literature quotes 0.00492867323399; that 12-digit value
+/// leaves the top layer 1e-9 short of `V`, this one closes it to 1e-13.
+const ZIG_V: f64 = 0.004_928_673_233_974_658;
+
+/// Layer edges and the density at each edge. Layer `i` is the rectangle
+/// `[0, x[i]) × [f[i], f[i+1])`; the base layer `i = 0` is
+/// `[0, x[0]) × [0, f[1])`, whose part beyond `ZIG_R` stands for the tail.
+/// Built from the recurrence `x[0] = V/f(R)`, `x[1] = R`,
+/// `x[i] = √(−2 ln(V/x[i−1] + f(x[i−1])))`, `x[256] = 0`.
+struct Ziggurat {
+    x: [f64; ZIG_LAYERS + 1],
+    f: [f64; ZIG_LAYERS + 1],
+}
+
+static ZIGGURAT: LazyLock<Ziggurat> = LazyLock::new(|| {
+    let pdf = |x: f64| (-0.5 * x * x).exp();
+    let mut x = [0.0; ZIG_LAYERS + 1];
+    x[0] = ZIG_V / pdf(ZIG_R);
+    x[1] = ZIG_R;
+    for i in 2..ZIG_LAYERS {
+        x[i] = (-2.0 * (ZIG_V / x[i - 1] + pdf(x[i - 1])).ln()).sqrt();
+    }
+    Ziggurat { x, f: x.map(pdf) }
+});
 
 /// PCG-XSH-RR 64/32: 64-bit state, 32-bit output, period 2^64 per stream.
 #[derive(Debug, Clone)]
@@ -77,21 +120,43 @@ impl Pcg32 {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// Standard normal deviate via the Box–Muller transform.
+    /// Standard normal deviate from the 256-layer ziggurat.
+    ///
+    /// One `next_u64` supplies both the layer (low 8 bits) and a uniform
+    /// on `[-1, 1)` (top 53 bits, exact on a 2^-52 grid); a point inside
+    /// the layer's rectangle is returned at once.
     pub fn normal(&mut self) -> f64 {
-        // Draw until u is strictly positive so ln(u) is finite.
-        let mut u = self.next_f64();
-        while u <= f64::MIN_POSITIVE {
-            u = self.next_f64();
+        let z = &*ZIGGURAT;
+        loop {
+            let bits = self.next_u64();
+            let i = (bits & 0xff) as usize;
+            let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
+            let x = u * z.x[i];
+            if x.abs() < z.x[i + 1] {
+                return x;
+            }
+            if i == 0 {
+                return self.normal_tail(u < 0.0);
+            }
+            // Wedge: accept when a uniform height within the layer falls
+            // below the density.
+            if z.f[i] + (z.f[i + 1] - z.f[i]) * self.next_f64() < (-0.5 * x * x).exp() {
+                return x;
+            }
         }
-        let v = self.next_f64();
-        (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
     }
 
-    /// Normal deviate with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f64, sd: f64) -> f64 {
-        mean + sd * self.normal()
+    /// A deviate from the normal tail beyond `ZIG_R` (Marsaglia's
+    /// exponential rejection), negated when `negative`.
+    fn normal_tail(&mut self, negative: bool) -> f64 {
+        loop {
+            // 1 - [0, 1) is (0, 1], so both logarithms are finite.
+            let x = (1.0 - self.next_f64()).ln() / ZIG_R;
+            let y = (1.0 - self.next_f64()).ln();
+            if -2.0 * y >= x * x {
+                return if negative { x - ZIG_R } else { ZIG_R - x };
+            }
+        }
     }
 
     /// Lognormal multiplicative noise factor with median 1 and the given
@@ -184,6 +249,121 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    /// `∫ₐᵇ g` by composite Simpson's rule on `n` (even) panels.
+    fn simpson(g: impl Fn(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {
+        let h = (b - a) / n as f64;
+        let inner: f64 = (1..n)
+            .map(|k| g(a + k as f64 * h) * if k % 2 == 1 { 4.0 } else { 2.0 })
+            .sum();
+        (g(a) + inner + g(b)) * h / 3.0
+    }
+
+    /// `P(a ≤ X < b)` for a standard normal `X`.
+    fn phi_mass(a: f64, b: f64) -> f64 {
+        let pdf = |x: f64| (-0.5 * x * x).exp() / std::f64::consts::TAU.sqrt();
+        simpson(pdf, a, b, 2_000)
+    }
+
+    #[test]
+    fn normal_matches_phi_by_chi_squared() {
+        // 82 bins: (-inf, -4), eighty of width 0.1 over [-4, 4), [4, inf).
+        // 4 M draws is enough to see a wedge test that accepts too much or
+        // too little (χ² above 300 at this seed).
+        let n = 4_000_000;
+        let mut counts = [0u64; 82];
+        let mut rng = Pcg32::seeded(11);
+        for _ in 0..n {
+            let x = rng.normal();
+            let bin = if x < -4.0 {
+                0
+            } else if x >= 4.0 {
+                81
+            } else {
+                (1 + ((x + 4.0) * 10.0) as usize).min(80)
+            };
+            counts[bin] += 1;
+        }
+        let outer = 0.5 - phi_mass(0.0, 4.0);
+        let chi2: f64 = counts
+            .iter()
+            .enumerate()
+            .map(|(k, &c)| {
+                let p = match k {
+                    0 | 81 => outer,
+                    _ => phi_mass(-4.0 + (k - 1) as f64 * 0.1, -4.0 + k as f64 * 0.1),
+                };
+                let e = p * n as f64;
+                (c as f64 - e).powi(2) / e
+            })
+            .sum();
+        // 81 degrees of freedom: mean 81, sd 12.7.
+        assert!(chi2 < 140.0, "chi2 {chi2} over 82 bins");
+    }
+
+    #[test]
+    fn tail_beyond_r_is_two_sided_at_the_normal_rate() {
+        let n = 2_000_000;
+        let mut rng = Pcg32::seeded(12);
+        let (mut below, mut above) = (0u64, 0u64);
+        for _ in 0..n {
+            let x = rng.normal();
+            if x > ZIG_R {
+                above += 1;
+            } else if x < -ZIG_R {
+                below += 1;
+            }
+        }
+        let p = 0.5 - phi_mass(0.0, ZIG_R);
+        let (mean, sd) = (n as f64 * p, (n as f64 * p * (1.0 - p)).sqrt());
+        for (side, count) in [("below -R", below), ("above R", above)] {
+            let z = (count as f64 - mean) / sd;
+            assert!(
+                z.abs() < 4.0,
+                "{side}: {count} draws, expected {mean:.1} (z = {z:.2})"
+            );
+        }
+    }
+
+    #[test]
+    fn ziggurat_layers_decrease_and_have_equal_area() {
+        let z = &*ZIGGURAT;
+        assert_eq!(z.x[1], ZIG_R);
+        assert_eq!(z.x[ZIG_LAYERS], 0.0);
+        assert_eq!(z.f[ZIG_LAYERS], 1.0);
+        assert!(
+            z.x.windows(2).all(|w| w[0] > w[1]),
+            "x not strictly decreasing"
+        );
+        // The base layer is the rectangle up to R plus the tail beyond it.
+        let tail = simpson(|x| (-0.5 * x * x).exp(), ZIG_R, ZIG_R + 10.0, 20_000);
+        let base = ZIG_R * z.f[1] + tail;
+        let layers = (1..ZIG_LAYERS).map(|i| z.x[i] * (z.f[i + 1] - z.f[i]));
+        for (i, area) in std::iter::once(base).chain(layers).enumerate() {
+            let rel = (area - ZIG_V).abs() / ZIG_V;
+            assert!(
+                rel < 1e-12,
+                "layer {i}: area {area:e}, relative error {rel:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn normal_stream_is_pinned() {
+        let want: [u64; 8] = [
+            0xbfd15f30fd70b904, // -0.2714350199702411
+            0xbffe1dbd9c3c8d09, // -1.8822609045972192
+            0x3fd3f9abbfd5b1be, //  0.3121137021433035
+            0xbff38bdb1c22aa79, // -1.2216445063628767
+            0x3fdea5cfeb42d234, //  0.4788703725310228
+            0x3feb5cb68c0962a8, //  0.8550675139514015
+            0xbfe1584b18e69e86, // -0.5420279966683246
+            0xbff4342ec6437bd4, // -1.262739920108051
+        ];
+        let mut rng = Pcg32::seeded(2026);
+        let got: Vec<u64> = (0..8).map(|_| rng.normal().to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * **In-flight dedupe** — two identical queries in one parallel batch
 //!   cost exactly one engine miss; the second is a memory hit.
 //! * **Deterministic failure** — malformed requests and failing queries
-//!   produce stable, in-order error lines, not dropped responses.
+//!   produce stable, in-order error lines, not dropped responses; a
+//!   hostile line (200,000 nested `[`) is one of them, not a crash.
 
 use cluster_eval::engine::Ctx;
 use cluster_eval::serve::{open_store, respond, run_batch};
@@ -172,4 +173,30 @@ fn serve_loop_streams_one_line_per_request() {
     let text = String::from_utf8(out).expect("utf8 responses");
     assert_eq!(text.lines().count(), 10);
     assert_eq!(run_batch(&Ctx::new(), &batch, 2).join("\n") + "\n", text);
+}
+
+#[test]
+fn deeply_nested_line_is_an_error_line_and_serving_continues() {
+    let valid = canned_batch().swap_remove(0);
+    let input = format!("{}\n{valid}\n", "[".repeat(200_000));
+    let mut out = Vec::new();
+    let mut log = Vec::new();
+    let summary = cluster_eval::serve::serve(
+        &Ctx::new(),
+        std::io::BufReader::new(input.as_bytes()),
+        &mut out,
+        &mut log,
+        2,
+    )
+    .expect("serve");
+    assert_eq!(summary.requests, 2);
+    let text = String::from_utf8(out).expect("utf8 responses");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "one error line, then the valid answer");
+    assert!(
+        lines[0].starts_with("{\"id\":null,\"error\":\"nesting deeper than 128"),
+        "{}",
+        &lines[0][..lines[0].len().min(120)]
+    );
+    assert_eq!(lines[1], run_batch(&Ctx::new(), &[valid], 2)[0]);
 }
