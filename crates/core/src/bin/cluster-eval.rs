@@ -173,20 +173,19 @@ fn bench_all(csv: bool, json: bool) -> ExitCode {
     if json {
         // Host-kernel mode: measure what the parallel runtime delivers on
         // *this* machine (1 thread vs full pool) and emit the
-        // BENCH_host.json snapshot format, with the deterministic
-        // cache-model predictions spliced in as a "cache" section and the
-        // serve cold/warm/dedupe replay as a "serve" section.
-        let hb = cluster_eval::hostbench::run_host_bench();
-        let cache = cluster_eval::cachemodel::cache_json_block(&arch::machines::cte_arm())
+        // BENCH_host.json snapshot, which also carries the deterministic
+        // cache-model predictions, the serve cold/warm/dedupe replay and
+        // the scheduler replay throughput.
+        use cluster_eval::hostbench;
+        let host = hostbench::run_host_bench();
+        let cache = cluster_eval::cachemodel::predict_all(&arch::machines::cte_arm())
             .expect("the CTE-Arm model always has a hierarchy config");
-        let serve = cluster_eval::hostbench::run_serve_bench(2);
-        let sched = cluster_eval::hostbench::run_sched_bench();
-        let extra = format!(
-            "{cache},\n{},\n{}",
-            serve.to_json_section(),
-            sched.to_json_section()
+        let serve = hostbench::run_serve_bench(2);
+        let sched = hostbench::run_sched_bench();
+        print!(
+            "{}",
+            hostbench::snapshot_json(&host, &cache, &serve, &sched)
         );
-        print!("{}", hb.to_json_with(&extra));
         return ExitCode::SUCCESS;
     }
     let ctx = Ctx::new();

@@ -177,33 +177,10 @@ pub fn render_report(machine: &Machine) -> Option<String> {
     Some(out)
 }
 
-/// Compact JSON block for `bench-all --json`: predicted DRAM traffic and
-/// %-of-peak per registry kernel on the A64FX model. Deterministic — no
-/// host measurement involved.
-pub fn cache_json_block(machine: &Machine) -> Option<String> {
-    let rows = predict_all(machine)?;
-    let mut out = String::from("  \"cache\": [\n");
-    let last = rows.len() - 1;
-    for (i, (e, p)) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"dram_bytes\": {}, \"nominal_bytes\": {}, \
-             \"pct_peak_flops\": {:.4}, \"pct_peak_bw\": {:.4}, \"bound\": \"{}\"}}{}\n",
-            e.key,
-            p.sim.dram_bytes(),
-            p.sim.nominal_bytes,
-            p.pct_peak_flops,
-            p.pct_peak_bw,
-            p.bound,
-            if i < last { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]");
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use arch::machines::{cte_arm, marenostrum4};
 
     #[test]
@@ -237,13 +214,29 @@ mod tests {
         let mut m = cte_arm();
         m.name = "mystery-box".into();
         assert!(render_report(&m).is_none());
-        assert!(cache_json_block(&m).is_none());
+        assert!(predict_all(&m).is_none());
     }
 
     #[test]
     fn json_block_is_balanced_and_complete() {
-        let j = cache_json_block(&cte_arm()).unwrap();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches("\"kernel\"").count(), registry().len());
+        // The snapshot's `cache` section, rendered as `bench-all --json`
+        // renders it: one object per registry kernel, in registry order.
+        let rows = predict_all(&cte_arm()).unwrap();
+        let mut w = crate::json::Writer::pretty();
+        crate::hostbench::write_cache_rows(&mut w, &rows);
+        let v = crate::json::parse(&w.finish()).expect("the section parses");
+        let parsed = v.as_array().unwrap();
+        assert_eq!(parsed.len(), registry().len());
+        for (row, (e, p)) in parsed.iter().zip(&rows) {
+            assert_eq!(row.get("kernel").and_then(Value::as_str), Some(e.key));
+            assert_eq!(
+                row.get("dram_bytes").and_then(Value::as_u64),
+                Some(p.sim.dram_bytes())
+            );
+            assert_eq!(row.get("bound").and_then(Value::as_str), Some(&*p.bound));
+            for key in ["nominal_bytes", "pct_peak_flops", "pct_peak_bw"] {
+                assert!(row.get(key).is_some(), "{} lacks {key}", e.key);
+            }
+        }
     }
 }

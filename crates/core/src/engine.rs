@@ -5,7 +5,7 @@
 //! Alya study, Table IV revisits node counts every figure already measured
 //! — so each run owns a [`Ctx`] whose [`Cache`] memoizes those
 //! sub-results. To keep the hit/miss accounting deterministic under
-//! parallelism, each [`Experiment`](crate::experiments::Experiment)
+//! parallelism, each [`Experiment`]
 //! declares `deps`: the experiments that *produce* the cache entries it
 //! reuses. The scheduler never starts an experiment before its deps
 //! finish, so the producer always takes the misses and the consumer always

@@ -10,19 +10,20 @@
 //! `host.cores` field says what hardware a snapshot came from, so numbers
 //! from a 1-core CI container and a 48-core A64FX node are never confused).
 //!
-//! Kernel measurements use calibrated best-of-k timing: one warm-up call
-//! estimates the kernel's wall time, reps are auto-scaled so every timed
-//! batch runs at least [`TARGET_BATCH_SECS`], and the reported number is
-//! the best per-rep time over [`BATCHES`] batches. That keeps a
-//! microsecond kernel from being timed as a single clock-granularity
-//! sample, so run-to-run deltas in `BENCH_host.json` reflect the code, not
-//! the timer. The kernels themselves are the real `crates/kernels`
-//! implementations, so these numbers move when the runtime or the kernels
-//! do. (The interconnect rows keep the simpler fixed-rep `time_best` —
-//! their loop bodies already aggregate thousands of route resolutions.)
+//! Every row uses calibrated best-of-k timing: one warm-up call estimates
+//! the measured operation's wall time, reps are auto-scaled so every timed
+//! batch runs at least 25 ms, and the reported number is the best per-rep
+//! time over 5 batches. That keeps a microsecond kernel from being timed
+//! as a single clock-granularity sample, so run-to-run deltas in
+//! `BENCH_host.json` reflect the code, not the timer. The kernels
+//! themselves are the real `crates/kernels` implementations, so these
+//! numbers move when the runtime or the kernels do.
 
+use crate::cachemodel::CacheModelEntry;
 use crate::engine::Ctx;
-use crate::serve::{open_store, respond, run_batch};
+use crate::json::Writer;
+use crate::serve::{batch_lines, replay_cold_warm, respond, ReplayReport};
+use arch::cachesim::Prediction;
 use arch::cost::{
     spmv_csr_bytes, spmv_csr_moved_bytes, spmv_stencil_bytes, spmv_stencil_moved_bytes,
 };
@@ -42,9 +43,6 @@ use kernels::stencil::OceanGrid;
 use kernels::stencil_matrix::StencilMatrix;
 use kernels::stream::{StreamArrays, StreamKernel};
 use std::time::Instant;
-
-/// Best-of trials per measurement (legacy fixed-rep network rows).
-const TRIALS: usize = 3;
 
 /// Minimum wall time a calibrated timed batch should cover. Long enough
 /// to amortize timer granularity and scheduling jitter, short enough that
@@ -278,22 +276,11 @@ pub struct HostBench {
 pub struct ServeBench {
     /// Request lines in the canned batch.
     pub requests: usize,
-    /// Individual queries across those requests.
-    pub queries: u64,
     /// `--jobs` level both replays ran at.
     pub jobs: usize,
-    /// Cold replay wall time (fresh store, every unique query a miss), ms.
-    pub cold_batch_ms: f64,
-    /// Warm replay wall time (reopened store, engine never runs), ms.
-    pub warm_batch_ms: f64,
-    /// Engine misses the cold replay paid (the unique-query count).
-    pub cold_misses: u64,
-    /// Disk hits that served the warm replay.
-    pub warm_disk_hits: u64,
-    /// Memory hits (in-session duplicates) during the warm replay.
-    pub warm_mem_hits: u64,
-    /// Engine misses of the warm replay — zero when the store works.
-    pub warm_misses: u64,
+    /// Walls and cache traffic of the cold replay (every unique query a
+    /// miss) and the warm one (engine never runs, so zero misses).
+    pub replay: ReplayReport,
     /// Engine misses charged for two identical queries evaluated
     /// concurrently in one request: the per-key slot lock is a
     /// single-flight map, so this is 1, not 2.
@@ -301,48 +288,31 @@ pub struct ServeBench {
 }
 
 impl ServeBench {
-    /// `cold_batch_ms / warm_batch_ms` — what the persistent tier buys.
+    /// Cold over warm replay wall time — what the persistent tier buys.
     pub fn warm_speedup(&self) -> f64 {
-        if self.warm_batch_ms > 0.0 {
-            self.cold_batch_ms / self.warm_batch_ms
+        if self.replay.warm_ms > 0.0 {
+            self.replay.cold_ms / self.replay.warm_ms
         } else {
             0.0
         }
     }
 
-    /// Pre-rendered top-level `"serve"` section for
-    /// [`HostBench::to_json_with`].
-    pub fn to_json_section(&self) -> String {
-        let mut out = String::from("  \"serve\": {\n");
-        out.push_str("    \"batch\": \"tests/data/serve_batch_50.jsonl\",\n");
-        out.push_str(&format!("    \"requests\": {},\n", self.requests));
-        out.push_str(&format!("    \"queries\": {},\n", self.queries));
-        out.push_str(&format!("    \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "    \"cold_batch_ms\": {:.2},\n",
-            self.cold_batch_ms
-        ));
-        out.push_str(&format!(
-            "    \"warm_batch_ms\": {:.2},\n",
-            self.warm_batch_ms
-        ));
-        out.push_str(&format!(
-            "    \"warm_speedup\": {:.1},\n",
-            self.warm_speedup()
-        ));
-        out.push_str(&format!("    \"cold_misses\": {},\n", self.cold_misses));
-        out.push_str(&format!(
-            "    \"warm_disk_hits\": {},\n",
-            self.warm_disk_hits
-        ));
-        out.push_str(&format!("    \"warm_mem_hits\": {},\n", self.warm_mem_hits));
-        out.push_str(&format!("    \"warm_misses\": {},\n", self.warm_misses));
-        out.push_str(&format!(
-            "    \"inflight_dedupe_misses\": {}\n",
-            self.inflight_dedupe_misses
-        ));
-        out.push_str("  }");
-        out
+    /// Write the members of the snapshot's `serve` object.
+    pub(crate) fn write_json(&self, w: &mut Writer) {
+        let r = &self.replay;
+        w.key("batch").str("tests/data/serve_batch_50.jsonl");
+        w.key("requests").uint(self.requests as u64);
+        w.key("queries").uint(r.cold.total());
+        w.key("jobs").uint(self.jobs as u64);
+        w.key("cold_batch_ms").fixed(r.cold_ms, 2);
+        w.key("warm_batch_ms").fixed(r.warm_ms, 2);
+        w.key("warm_speedup").fixed(self.warm_speedup(), 1);
+        w.key("cold_misses").uint(r.cold.misses);
+        w.key("warm_disk_hits").uint(r.warm.disk_hits);
+        w.key("warm_mem_hits").uint(r.warm.mem_hits);
+        w.key("warm_misses").uint(r.warm.misses);
+        w.key("inflight_dedupe_misses")
+            .uint(self.inflight_dedupe_misses);
     }
 }
 
@@ -351,32 +321,11 @@ impl ServeBench {
 const SERVE_BATCH: &str = include_str!("../../../tests/data/serve_batch_50.jsonl");
 
 /// Measure the serve front end over the canned batch: cold against a
-/// fresh store in a scratch directory, warm against the reopened store,
-/// plus the in-flight dedupe cost. The scratch store is removed on exit.
+/// fresh store in a scratch directory, warm against the reopened store
+/// ([`replay_cold_warm`]), plus the in-flight dedupe cost.
 pub fn run_serve_bench(jobs: usize) -> ServeBench {
-    let lines: Vec<String> = SERVE_BATCH
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(String::from)
-        .collect();
-    let dir = std::env::temp_dir().join(format!("cluster-eval-servebench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let cold_ctx = Ctx::with_store(open_store(&dir).expect("scratch store open"));
-    let t0 = Instant::now();
-    let cold_out = run_batch(&cold_ctx, &lines, jobs);
-    let cold_batch_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let cold = cold_ctx.cache.counters();
-    drop(cold_ctx); // server restart: flushes the index
-
-    let warm_ctx = Ctx::with_store(open_store(&dir).expect("scratch store reopen"));
-    let t1 = Instant::now();
-    let warm_out = run_batch(&warm_ctx, &lines, jobs);
-    let warm_batch_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let warm = warm_ctx.cache.counters();
-    drop(warm_ctx);
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(warm_out, cold_out, "warm serve replay diverged from cold");
+    let lines = batch_lines(SERVE_BATCH);
+    let replay = replay_cold_warm(&lines, jobs).expect("warm serve replay matches cold");
 
     // Dedupe cost: two identical queries in one request, two workers. The
     // slot lock makes one compute and the other wait for the fresh value.
@@ -389,14 +338,8 @@ pub fn run_serve_bench(jobs: usize) -> ServeBench {
 
     ServeBench {
         requests: lines.len(),
-        queries: cold.total(),
         jobs,
-        cold_batch_ms,
-        warm_batch_ms,
-        cold_misses: cold.misses,
-        warm_disk_hits: warm.disk_hits,
-        warm_mem_hits: warm.mem_hits,
-        warm_misses: warm.misses,
+        replay,
         inflight_dedupe_misses: dedupe_ctx.cache.counters().misses,
     }
 }
@@ -432,29 +375,19 @@ pub struct SchedBench {
 }
 
 impl SchedBench {
-    /// Pre-rendered top-level `"sched"` section for
-    /// [`HostBench::to_json_with`].
-    pub fn to_json_section(&self) -> String {
-        let mut out = String::from("  \"sched\": {\n");
-        out.push_str(&format!("    \"machine\": \"{}\",\n", self.machine));
-        out.push_str(&format!("    \"nodes\": {},\n", self.nodes));
-        out.push_str(&format!("    \"days\": {},\n", self.days));
-        out.push_str(&format!("    \"jobs_per_day\": {},\n", self.jobs_per_day));
-        out.push_str(&format!("    \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("    \"wall_s\": {:.3},\n", self.wall_s));
-        out.push_str(&format!(
-            "    \"jobs_per_sec\": {:.0},\n",
-            self.jobs_per_sec
-        ));
-        out.push_str(&format!("    \"makespan_s\": {:.0},\n", self.makespan_s));
-        out.push_str(&format!("    \"utilization\": {:.4},\n", self.utilization));
-        out.push_str(&format!("    \"mean_wait_s\": {:.1},\n", self.mean_wait_s));
-        out.push_str(&format!(
-            "    \"mean_compactness\": {:.3}\n",
-            self.mean_compactness
-        ));
-        out.push_str("  }");
-        out
+    /// Write the members of the snapshot's `sched` object.
+    pub(crate) fn write_json(&self, w: &mut Writer) {
+        w.key("machine").str(&self.machine);
+        w.key("nodes").uint(self.nodes as u64);
+        w.key("days").uint(self.days as u64);
+        w.key("jobs_per_day").uint(self.jobs_per_day as u64);
+        w.key("jobs").uint(self.jobs as u64);
+        w.key("wall_s").fixed(self.wall_s, 3);
+        w.key("jobs_per_sec").fixed(self.jobs_per_sec, 0);
+        w.key("makespan_s").fixed(self.makespan_s, 0);
+        w.key("utilization").fixed(self.utilization, 4);
+        w.key("mean_wait_s").fixed(self.mean_wait_s, 1);
+        w.key("mean_compactness").fixed(self.mean_compactness, 3);
     }
 }
 
@@ -483,16 +416,6 @@ pub fn run_sched_bench() -> SchedBench {
     }
 }
 
-fn time_best<F: FnMut()>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TRIALS {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Run `measure` under a pool fixed to `threads` workers.
 fn with_pool<R>(threads: usize, measure: impl FnOnce() -> R) -> R {
     rayon::ThreadPoolBuilder::new()
@@ -502,20 +425,22 @@ fn with_pool<R>(threads: usize, measure: impl FnOnce() -> R) -> R {
         .install(measure)
 }
 
+/// Giga-units per second of `f`, which does `units` of work per call,
+/// timed by [`calibrated_best`] under a pool of `threads` workers.
+fn giga_rate(threads: usize, units: f64, f: impl FnMut()) -> f64 {
+    units / with_pool(threads, || calibrated_best(f)) / 1e9
+}
+
 fn bench_stream(threads: usize) -> f64 {
     let mut arrays = StreamArrays::new(2_000_000);
     let bytes = (arrays.len() * StreamKernel::Triad.bytes_per_element()) as f64;
-    let parallel = threads > 1;
-    let secs = with_pool(threads, || {
-        calibrated_best(|| {
-            if parallel {
-                arrays.run_parallel(StreamKernel::Triad);
-            } else {
-                arrays.run_sequential(StreamKernel::Triad);
-            }
-        })
-    });
-    bytes / secs / 1e9
+    giga_rate(threads, bytes, || {
+        if threads > 1 {
+            arrays.run_parallel(StreamKernel::Triad);
+        } else {
+            arrays.run_sequential(StreamKernel::Triad);
+        }
+    })
 }
 
 fn bench_gemm(threads: usize) -> f64 {
@@ -523,48 +448,41 @@ fn bench_gemm(threads: usize) -> f64 {
     let a = DenseMatrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 97) as f64 / 97.0);
     let b = DenseMatrix::from_fn(n, n, |i, j| ((i * 13 + j * 41) % 89) as f64 / 89.0);
     let mut c = DenseMatrix::zeros(n, n);
-    let secs = with_pool(threads, || calibrated_best(|| gemm_blocked(&a, &b, &mut c)));
-    gemm_flops(n, n, n) as f64 / secs / 1e9
+    giga_rate(threads, gemm_flops(n, n, n) as f64, || {
+        gemm_blocked(&a, &b, &mut c)
+    })
 }
 
 fn bench_spmv(threads: usize) -> f64 {
     let a = build_hpcg_matrix(24, 24, 24);
     let x: Vec<f64> = (0..a.n).map(|i| (i as f64).sin()).collect();
     let mut y = vec![0.0; a.n];
-    let secs = with_pool(threads, || calibrated_best(|| a.spmv(&x, &mut y)));
-    (2 * a.nnz()) as f64 / secs / 1e9
+    giga_rate(threads, (2 * a.nnz()) as f64, || a.spmv(&x, &mut y))
 }
 
 fn bench_spmv_stencil(threads: usize) -> f64 {
     let a = StencilMatrix::hpcg(24, 24, 24);
     let x: Vec<f64> = (0..a.n).map(|i| (i as f64).sin()).collect();
     let mut y = vec![0.0; a.n];
-    let secs = with_pool(threads, || calibrated_best(|| a.spmv(&x, &mut y)));
-    (2 * a.nnz()) as f64 / secs / 1e9
+    giga_rate(threads, (2 * a.nnz()) as f64, || a.spmv(&x, &mut y))
 }
 
 fn bench_stencil(threads: usize) -> f64 {
     let mut grid = OceanGrid::with_bump(512, 256);
     // Bytes per step is a pure function of the grid size.
     let (_, bytes) = grid.step(1.0, 1000.0);
-    let secs = with_pool(threads, || {
-        calibrated_best(|| {
-            grid.step(1.0, 1000.0);
-        })
-    });
-    bytes as f64 / secs / 1e9
+    giga_rate(threads, bytes as f64, || {
+        grid.step(1.0, 1000.0);
+    })
 }
 
 fn bench_md(threads: usize) -> f64 {
     let mut sys = LjSystem::cubic_lattice(12, 0.8, 42);
     // Positions never move here, so the flop count is call-invariant.
     let (_, flops) = sys.compute_forces();
-    let secs = with_pool(threads, || {
-        calibrated_best(|| {
-            sys.compute_forces();
-        })
-    });
-    flops as f64 / secs / 1e9
+    giga_rate(threads, flops as f64, || {
+        sys.compute_forces();
+    })
 }
 
 fn topo_label(t: &TofuD) -> String {
@@ -578,81 +496,70 @@ fn topo_label(t: &TofuD) -> String {
 /// what makes it the in-situ baseline.
 fn bench_resolve_rate(net: &Network<TofuD>) -> f64 {
     let n = net.topology().nodes();
-    let reps = 20;
-    let secs = time_best(|| {
+    let secs = calibrated_best(|| {
         let mut hop_sink = 0u64;
         let mut share_sink = 0.0f64;
-        for _ in 0..reps {
-            for a in 0..n {
-                for b in 0..n {
-                    if a != b {
-                        let c = net.path_cost(NodeId(a), NodeId(b));
-                        hop_sink = hop_sink.wrapping_add(c.hops as u64);
-                        share_sink += c.sharing;
-                    }
+        for a in 0..n {
+            for b in 0..n {
+                if a != b {
+                    let c = net.path_cost(NodeId(a), NodeId(b));
+                    hop_sink = hop_sink.wrapping_add(c.hops as u64);
+                    share_sink += c.sharing;
                 }
             }
         }
         std::hint::black_box((hop_sink, share_sink));
     });
-    (reps * n * (n - 1)) as f64 / secs
+    (n * (n - 1)) as f64 / secs
 }
 
 /// Step-enumeration rate: walk the non-allocating step iterator over every
-/// ordered pair of the CTE-Arm torus, repeated enough to dominate timer
-/// noise. Uses the same decode-free constructor the all-pairs sweeps use.
+/// ordered pair of the CTE-Arm torus. Uses the same decode-free
+/// constructor the all-pairs sweeps use.
 fn bench_route_enum_rate(topo: &TofuD) -> f64 {
     let n = topo.nodes();
-    let reps = 20;
-    let secs = time_best(|| {
+    let secs = calibrated_best(|| {
         let mut sink = 0u64;
-        for _ in 0..reps {
-            for s in 0..n {
-                let src = NodeId(s);
-                let sc = topo.coords(src);
-                let mut dc = [0usize; DIMS];
-                for r in 0..n {
-                    if r != s {
-                        sink = RouteSteps::from_coords(topo, src, sc, dc)
-                            .fold(sink, |acc, step| acc.wrapping_add(step.to.index() as u64));
-                    }
-                    topo.advance_coords(&mut dc);
+        for s in 0..n {
+            let src = NodeId(s);
+            let sc = topo.coords(src);
+            let mut dc = [0usize; DIMS];
+            for r in 0..n {
+                if r != s {
+                    sink = RouteSteps::from_coords(topo, src, sc, dc)
+                        .fold(sink, |acc, step| acc.wrapping_add(step.to.index() as u64));
                 }
+                topo.advance_coords(&mut dc);
             }
         }
         std::hint::black_box(sink);
     });
-    (reps * n * (n - 1)) as f64 / secs
+    (n * (n - 1)) as f64 / secs
 }
 
 /// Microseconds to build the memoized distance/sharing table.
 fn bench_table_build(topo: &TofuD) -> f64 {
-    time_best(|| {
+    calibrated_best(|| {
         std::hint::black_box(RoutingTable::build(topo));
     }) * 1e6
 }
 
 /// Folded-table resolutions per second: stream the all-pairs decode loop
 /// (two array reads + unpack per ordered pair, self-pairs included) over a
-/// table that fits in cache, repeated to dominate timer noise.
+/// table that fits in cache.
 fn bench_folded_resolve_rate(topo: &TofuD) -> f64 {
     let t = FoldedTable::build(topo);
     let n = t.nodes();
-    let reps = 200;
-    let secs = time_best(|| {
-        let mut sink = 0u64;
-        for _ in 0..reps {
-            sink = sink.wrapping_add(t.checksum_all_pairs());
-        }
-        std::hint::black_box(sink);
+    let secs = calibrated_best(|| {
+        std::hint::black_box(t.checksum_all_pairs());
     });
-    (reps * n * n) as f64 / secs
+    (n * n) as f64 / secs
 }
 
 /// Closed-form uniform-traffic sweep wall time (ms): per-link loads with
 /// max/mean plus the machine-wide mean hop distance.
 fn bench_closed_sweep(topo: &TofuD) -> f64 {
-    time_best(|| {
+    calibrated_best(|| {
         let load = interconnect::sweep::uniform_link_load(topo);
         let hops = interconnect::sweep::uniform_mean_hops(topo);
         std::hint::black_box((load, hops));
@@ -662,14 +569,9 @@ fn bench_closed_sweep(topo: &TofuD) -> f64 {
 /// All-pairs link-load sweep wall time (ms) under a pool of `threads`.
 fn bench_sweep(topo: &TofuD, threads: usize) -> f64 {
     with_pool(threads, || {
-        let mut best = f64::INFINITY;
-        for _ in 0..2 {
-            let t0 = Instant::now();
-            let load = all_pairs_loads(topo);
-            std::hint::black_box(load.max_mean());
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best * 1e3
+        calibrated_best(|| {
+            std::hint::black_box(all_pairs_loads(topo).max_mean());
+        }) * 1e3
     })
 }
 
@@ -690,7 +592,7 @@ pub fn run_network_bench(pool_threads: usize) -> NetworkBench {
     let direct = Network::new(TofuD::cte_arm(), LinkModel::tofud());
     let cached = Network::new(TofuD::cte_arm(), LinkModel::tofud());
     cached.routing_table();
-    let folded_build_ms = time_best(|| {
+    let folded_build_ms = calibrated_best(|| {
         std::hint::black_box(FoldedTable::build(&fugaku));
     }) * 1e3;
     NetworkBench {
@@ -855,206 +757,162 @@ pub fn run_host_bench() -> HostBench {
 }
 
 impl HostBench {
-    /// Render as pretty-printed JSON (the `BENCH_host.json` format).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"host\": {\n");
-        out.push_str(&format!(
-            "    \"detected_cores\": {},\n",
-            self.detected_cores
-        ));
-        out.push_str(&format!("    \"pool_threads\": {},\n", self.pool_threads));
-        out.push_str(&format!(
-            "    \"rayon_num_threads_env\": {}\n",
+    /// Write the snapshot's `host`, `kernels`, `hpcg` and `network` members.
+    /// A 1-wide pool has no distinct N-thread leg: no N-thread columns, and
+    /// `null` speedups.
+    pub(crate) fn write_json(&self, w: &mut Writer) {
+        let pool = self.pool_threads;
+        let wide = pool > 1;
+        w.key("host").obj(|w| {
+            w.key("detected_cores").uint(self.detected_cores as u64);
+            w.key("pool_threads").uint(pool as u64);
             match &self.rayon_threads_env {
-                Some(v) => format!("\"{v}\""),
-                None => "null".into(),
+                Some(v) => w.key("rayon_num_threads_env").str(v),
+                None => w.key("rayon_num_threads_env").null(),
             }
-        ));
-        out.push_str("  },\n");
-        out.push_str("  \"kernels\": [\n");
-        for (i, k) in self.kernels.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", k.name));
-            out.push_str(&format!("      \"metric\": \"{}\",\n", k.metric));
-            out.push_str(&format!("      \"size\": \"{}\",\n", k.size));
-            out.push_str(&format!("      \"value_1_thread\": {:.3},\n", k.value_1t));
-            // A 1-wide pool has no distinct N-thread leg: emitting
-            // `value_1_threads` next to `value_1_thread` and a "speedup"
-            // of noise/noise made the committed snapshot lie. Suppress the
-            // column and null the ratio instead.
-            if self.pool_threads > 1 {
-                out.push_str(&format!(
-                    "      \"value_{}_threads\": {:.3},\n",
-                    self.pool_threads, k.value_nt
-                ));
-                out.push_str(&format!("      \"speedup\": {:.3}\n", k.speedup()));
-            } else {
-                out.push_str("      \"speedup\": null\n");
+        });
+        w.key("kernels").arr(|w| {
+            for k in &self.kernels {
+                w.obj(|w| {
+                    w.key("name").str(k.name);
+                    w.key("metric").str(k.metric);
+                    w.key("size").str(&k.size);
+                    w.key("value_1_thread").fixed(k.value_1t, 3);
+                    if wide {
+                        w.key(&format!("value_{pool}_threads")).fixed(k.value_nt, 3);
+                        w.key("speedup").fixed(k.speedup(), 3);
+                    } else {
+                        w.key("speedup").null();
+                    }
+                });
             }
-            out.push_str(if i + 1 < self.kernels.len() {
-                "    },\n"
+        });
+        let hp = &self.hpcg;
+        w.key("hpcg").obj(|w| {
+            w.key("grid").str(&hp.grid);
+            w.key("spmv_csr_gflops").fixed(hp.spmv_csr_gflops, 3);
+            w.key("spmv_csr_gbs_dram_floor")
+                .fixed(hp.spmv_csr_gbs_dram_floor, 3);
+            w.key("spmv_csr_gbs_moved").fixed(hp.spmv_csr_gbs_moved, 3);
+            w.key("spmv_stencil_gflops")
+                .fixed(hp.spmv_stencil_gflops, 3);
+            w.key("spmv_stencil_gbs_dram_floor")
+                .fixed(hp.spmv_stencil_gbs_dram_floor, 3);
+            w.key("spmv_stencil_gbs_moved")
+                .fixed(hp.spmv_stencil_gbs_moved, 3);
+            w.key("spmv_format_speedup")
+                .fixed(hp.spmv_format_speedup(), 3);
+            w.key("symgs_seq_sweeps_per_sec")
+                .fixed(hp.symgs_seq_sweeps_per_sec, 1);
+            w.key("symgs_colored_sweeps_per_sec")
+                .fixed(hp.symgs_colored_sweeps_per_sec, 1);
+            w.key("symgs_speedup").fixed(hp.symgs_speedup(), 3);
+            w.key("vcycle_wall_ms_1_thread").fixed(hp.vcycle_ms_1t, 2);
+            if wide {
+                w.key(&format!("vcycle_wall_ms_{pool}_threads"))
+                    .fixed(hp.vcycle_ms_nt, 2);
+                w.key("vcycle_speedup").fixed(hp.vcycle_speedup(), 3);
             } else {
-                "    }\n"
+                w.key("vcycle_speedup").null();
+            }
+        });
+        let nw = &self.network;
+        w.key("network").obj(|w| {
+            w.key("route_topology").str(&nw.route_topology);
+            w.key("routes_per_sec").fixed(nw.routes_per_sec, 0);
+            w.key("baseline_routes_per_sec")
+                .fixed(nw.baseline_routes_per_sec, 0);
+            w.key("resolve_speedup").fixed(nw.resolve_speedup(), 3);
+            w.key("route_enum_per_sec").fixed(nw.route_enum_per_sec, 0);
+            w.key("table_build_us").fixed(nw.table_build_us, 1);
+            w.key("sweep_topology").str(&nw.sweep_topology);
+            w.key("sweep_wall_ms_1_thread").fixed(nw.sweep_ms_1t, 1);
+            if wide {
+                w.key(&format!("sweep_wall_ms_{pool}_threads"))
+                    .fixed(nw.sweep_ms_nt, 1);
+                w.key("sweep_speedup").fixed(nw.sweep_speedup(), 3);
+            } else {
+                w.key("sweep_speedup").null();
+            }
+            w.key("folded_topology").str(&nw.folded_topology);
+            w.key("folded_routes_per_sec")
+                .fixed(nw.folded_routes_per_sec, 0);
+            w.key("folded_build_ms").fixed(nw.folded_build_ms, 1);
+            w.key("folded_table_bytes")
+                .uint(nw.folded_table_bytes as u64);
+            w.key("sweep_10k_topology").str(&nw.sweep_10k_topology);
+            w.key("sweep_10k_closed_ms")
+                .fixed(nw.sweep_10k_closed_ms, 2);
+            w.key("fugaku_sweep_closed_ms")
+                .fixed(nw.fugaku_sweep_closed_ms, 2);
+        });
+    }
+}
+
+/// Write the `cache` array: predicted DRAM traffic and %-of-peak per
+/// cache-model registry kernel. Deterministic — no host measurement.
+pub(crate) fn write_cache_rows(w: &mut Writer, rows: &[(CacheModelEntry, Prediction)]) {
+    w.arr(|w| {
+        for (e, p) in rows {
+            w.obj(|w| {
+                w.key("kernel").str(e.key);
+                w.key("dram_bytes").uint(p.sim.dram_bytes());
+                w.key("nominal_bytes").uint(p.sim.nominal_bytes);
+                w.key("pct_peak_flops").fixed(p.pct_peak_flops, 4);
+                w.key("pct_peak_bw").fixed(p.pct_peak_bw, 4);
+                w.key("bound").str(&p.bound);
             });
         }
-        out.push_str("  ],\n");
-        let hp = &self.hpcg;
-        out.push_str("  \"hpcg\": {\n");
-        out.push_str(&format!("    \"grid\": \"{}\",\n", hp.grid));
-        out.push_str(&format!(
-            "    \"spmv_csr_gflops\": {:.3},\n",
-            hp.spmv_csr_gflops
-        ));
-        out.push_str(&format!(
-            "    \"spmv_csr_gbs_dram_floor\": {:.3},\n",
-            hp.spmv_csr_gbs_dram_floor
-        ));
-        out.push_str(&format!(
-            "    \"spmv_csr_gbs_moved\": {:.3},\n",
-            hp.spmv_csr_gbs_moved
-        ));
-        out.push_str(&format!(
-            "    \"spmv_stencil_gflops\": {:.3},\n",
-            hp.spmv_stencil_gflops
-        ));
-        out.push_str(&format!(
-            "    \"spmv_stencil_gbs_dram_floor\": {:.3},\n",
-            hp.spmv_stencil_gbs_dram_floor
-        ));
-        out.push_str(&format!(
-            "    \"spmv_stencil_gbs_moved\": {:.3},\n",
-            hp.spmv_stencil_gbs_moved
-        ));
-        out.push_str(&format!(
-            "    \"spmv_format_speedup\": {:.3},\n",
-            hp.spmv_format_speedup()
-        ));
-        out.push_str(&format!(
-            "    \"symgs_seq_sweeps_per_sec\": {:.1},\n",
-            hp.symgs_seq_sweeps_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"symgs_colored_sweeps_per_sec\": {:.1},\n",
-            hp.symgs_colored_sweeps_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"symgs_speedup\": {:.3},\n",
-            hp.symgs_speedup()
-        ));
-        out.push_str(&format!(
-            "    \"vcycle_wall_ms_1_thread\": {:.2},\n",
-            hp.vcycle_ms_1t
-        ));
-        if self.pool_threads > 1 {
-            out.push_str(&format!(
-                "    \"vcycle_wall_ms_{}_threads\": {:.2},\n",
-                self.pool_threads, hp.vcycle_ms_nt
-            ));
-            out.push_str(&format!(
-                "    \"vcycle_speedup\": {:.3}\n",
-                hp.vcycle_speedup()
-            ));
-        } else {
-            out.push_str("    \"vcycle_speedup\": null\n");
-        }
-        out.push_str("  },\n");
-        let nw = &self.network;
-        out.push_str("  \"network\": {\n");
-        out.push_str(&format!(
-            "    \"route_topology\": \"{}\",\n",
-            nw.route_topology
-        ));
-        out.push_str(&format!(
-            "    \"routes_per_sec\": {:.0},\n",
-            nw.routes_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"baseline_routes_per_sec\": {:.0},\n",
-            nw.baseline_routes_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"resolve_speedup\": {:.3},\n",
-            nw.resolve_speedup()
-        ));
-        out.push_str(&format!(
-            "    \"route_enum_per_sec\": {:.0},\n",
-            nw.route_enum_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"table_build_us\": {:.1},\n",
-            nw.table_build_us
-        ));
-        out.push_str(&format!(
-            "    \"sweep_topology\": \"{}\",\n",
-            nw.sweep_topology
-        ));
-        out.push_str(&format!(
-            "    \"sweep_wall_ms_1_thread\": {:.1},\n",
-            nw.sweep_ms_1t
-        ));
-        if self.pool_threads > 1 {
-            out.push_str(&format!(
-                "    \"sweep_wall_ms_{}_threads\": {:.1},\n",
-                self.pool_threads, nw.sweep_ms_nt
-            ));
-            out.push_str(&format!(
-                "    \"sweep_speedup\": {:.3},\n",
-                nw.sweep_speedup()
-            ));
-        } else {
-            out.push_str("    \"sweep_speedup\": null,\n");
-        }
-        out.push_str(&format!(
-            "    \"folded_topology\": \"{}\",\n",
-            nw.folded_topology
-        ));
-        out.push_str(&format!(
-            "    \"folded_routes_per_sec\": {:.0},\n",
-            nw.folded_routes_per_sec
-        ));
-        out.push_str(&format!(
-            "    \"folded_build_ms\": {:.1},\n",
-            nw.folded_build_ms
-        ));
-        out.push_str(&format!(
-            "    \"folded_table_bytes\": {},\n",
-            nw.folded_table_bytes
-        ));
-        out.push_str(&format!(
-            "    \"sweep_10k_topology\": \"{}\",\n",
-            nw.sweep_10k_topology
-        ));
-        out.push_str(&format!(
-            "    \"sweep_10k_closed_ms\": {:.2},\n",
-            nw.sweep_10k_closed_ms
-        ));
-        out.push_str(&format!(
-            "    \"fugaku_sweep_closed_ms\": {:.2}\n",
-            nw.fugaku_sweep_closed_ms
-        ));
-        out.push_str("  }\n}\n");
-        out
-    }
+    });
+}
 
-    /// [`Self::to_json`] with an extra pre-rendered top-level section
-    /// spliced in before the closing brace (e.g. the deterministic
-    /// `"cache"` block from the cache-model predictor, which is not a
-    /// host measurement and so does not live in the struct).
-    pub fn to_json_with(&self, extra_section: &str) -> String {
-        let base = self.to_json();
-        let trimmed = base
-            .trim_end()
-            .strip_suffix('}')
-            .expect("to_json always closes the object")
-            .trim_end();
-        format!("{trimmed},\n{extra_section}\n}}\n")
-    }
+/// Render the `bench-all --json` snapshot (the `BENCH_host.json` format),
+/// sections in the order host, kernels, hpcg, network, cache (the rows of
+/// [`crate::cachemodel::predict_all`]), serve, sched.
+pub fn snapshot_json(
+    host: &HostBench,
+    cache: &[(CacheModelEntry, Prediction)],
+    serve: &ServeBench,
+    sched: &SchedBench,
+) -> String {
+    let mut w = Writer::pretty();
+    w.obj(|w| {
+        host.write_json(w);
+        write_cache_rows(w.key("cache"), cache);
+        w.key("serve").obj(|w| serve.write_json(w));
+        w.key("sched").obj(|w| sched.write_json(w));
+    });
+    w.finish() + "\n"
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Value};
+    use simkit::cache::TierCounters;
+
+    /// The host half of the snapshot as one document.
+    fn render(hb: &HostBench) -> String {
+        let mut w = Writer::pretty();
+        w.obj(|w| hb.write_json(w));
+        w.finish()
+    }
+
+    fn sample_host() -> HostBench {
+        HostBench {
+            detected_cores: 4,
+            pool_threads: 4,
+            rayon_threads_env: None,
+            kernels: vec![],
+            network: sample_network(),
+            hpcg: sample_hpcg(),
+        }
+    }
+
+    /// The full snapshot around the sample sections, without cache rows.
+    fn sample_snapshot() -> String {
+        snapshot_json(&sample_host(), &[], &sample_serve(), &sample_sched())
+    }
 
     fn sample_network() -> NetworkBench {
         NetworkBench {
@@ -1108,7 +966,7 @@ mod tests {
             network: sample_network(),
             hpcg: sample_hpcg(),
         };
-        let j = hb.to_json();
+        let j = render(&hb);
         assert!(j.contains("\"detected_cores\": 4"));
         assert!(j.contains("\"rayon_num_threads_env\": null"));
         assert!(j.contains("\"value_4_threads\": 30.000"));
@@ -1134,7 +992,10 @@ mod tests {
         assert!(j.contains("\"symgs_speedup\": 2.500"));
         assert!(j.contains("\"vcycle_wall_ms_4_threads\": 10.00"));
         assert!(j.contains("\"vcycle_speedup\": 4.000"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let v = json::parse(&j).expect("valid JSON");
+        for section in ["host", "kernels", "hpcg", "network"] {
+            assert!(v.get(section).is_some(), "missing {section}");
+        }
     }
 
     #[test]
@@ -1157,7 +1018,7 @@ mod tests {
             network: sample_network(),
             hpcg: sample_hpcg(),
         };
-        let j = hb.to_json();
+        let j = render(&hb);
         assert!(j.contains("\"value_1_thread\": 10.000"));
         assert!(!j.contains("\"value_1_threads\""));
         assert!(j.contains("\"speedup\": null"));
@@ -1167,12 +1028,14 @@ mod tests {
         assert!(j.contains("\"sweep_speedup\": null"));
         // The scale rows are thread-count-independent and stay.
         assert!(j.contains("\"folded_table_bytes\": 9582978"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let v = json::parse(&j).expect("valid JSON");
+        let kernel = &v.get("kernels").unwrap().as_array().unwrap()[0];
+        assert_eq!(kernel.get("speedup"), Some(&Value::Null));
     }
 
     #[test]
     fn rayon_env_override_is_quoted() {
-        let hb = HostBench {
+        let mut hb = HostBench {
             detected_cores: 8,
             pool_threads: 2,
             rayon_threads_env: Some("2".into()),
@@ -1180,7 +1043,14 @@ mod tests {
             network: sample_network(),
             hpcg: sample_hpcg(),
         };
-        assert!(hb.to_json().contains("\"rayon_num_threads_env\": \"2\""));
+        assert!(render(&hb).contains("\"rayon_num_threads_env\": \"2\""));
+        // The variable is recorded verbatim, so a hostile value must be
+        // escaped, not break the document.
+        let hostile = "2\" \\ \"x";
+        hb.rayon_threads_env = Some(hostile.into());
+        let v = json::parse(&render(&hb)).expect("valid JSON");
+        let env = v.get("host").and_then(|h| h.get("rayon_num_threads_env"));
+        assert_eq!(env.and_then(Value::as_str), Some(hostile));
     }
 
     #[test]
@@ -1235,23 +1105,27 @@ mod tests {
     }
 
     fn sample_serve() -> ServeBench {
+        let tiers = |mem_hits, disk_hits, misses| TierCounters {
+            mem_hits,
+            disk_hits,
+            misses,
+        };
         ServeBench {
             requests: 10,
-            queries: 50,
             jobs: 2,
-            cold_batch_ms: 800.0,
-            warm_batch_ms: 2.0,
-            cold_misses: 45,
-            warm_disk_hits: 45,
-            warm_mem_hits: 5,
-            warm_misses: 0,
+            replay: ReplayReport {
+                cold_ms: 800.0,
+                warm_ms: 2.0,
+                cold: tiers(5, 0, 45),
+                warm: tiers(5, 45, 0),
+            },
             inflight_dedupe_misses: 1,
         }
     }
 
     #[test]
     fn serve_section_carries_every_key() {
-        let s = sample_serve().to_json_section();
+        let s = sample_snapshot();
         for key in [
             "\"serve\": {",
             "\"batch\": \"tests/data/serve_batch_50.jsonl\"",
@@ -1269,30 +1143,36 @@ mod tests {
         ] {
             assert!(s.contains(key), "serve section missing {key}:\n{s}");
         }
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
+        let v = json::parse(&s).expect("valid JSON");
+        let serve = v.get("serve").expect("serve section");
+        assert_eq!(
+            serve.get("warm_speedup").and_then(Value::as_f64),
+            Some(400.0)
+        );
     }
 
     #[test]
     fn serve_section_splices_into_the_snapshot() {
-        let hb = HostBench {
-            detected_cores: 4,
-            pool_threads: 4,
-            rayon_threads_env: None,
-            kernels: vec![],
-            network: sample_network(),
-            hpcg: sample_hpcg(),
+        // One document, its sections in the committed snapshot's order.
+        let j = sample_snapshot();
+        assert!(j.ends_with("}\n"));
+        json::parse(&j).expect("valid JSON");
+        let at = |section: &str| {
+            j.find(&format!("\n  \"{section}\": "))
+                .unwrap_or_else(|| panic!("no top-level {section}"))
         };
-        let j = hb.to_json_with(&sample_serve().to_json_section());
-        assert!(j.contains("\"serve\": {"));
-        assert!(j.trim_end().ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let order = [
+            "host", "kernels", "hpcg", "network", "cache", "serve", "sched",
+        ]
+        .map(at);
+        assert!(order.windows(2).all(|p| p[0] < p[1]), "{order:?}");
     }
 
     #[test]
     fn warm_speedup_handles_zero_denominator() {
         let mut s = sample_serve();
         assert_eq!(s.warm_speedup(), 400.0);
-        s.warm_batch_ms = 0.0;
+        s.replay.warm_ms = 0.0;
         assert_eq!(s.warm_speedup(), 0.0);
     }
 
@@ -1301,12 +1181,13 @@ mod tests {
         // The real thing, at jobs=2: the warm replay must be engine-free
         // and the duplicate pair must cost one miss.
         let sb = run_serve_bench(2);
-        assert_eq!((sb.requests, sb.queries), (10, 50));
-        assert_eq!(sb.cold_misses, 45, "unique-query count drifted");
-        assert_eq!(sb.warm_misses, 0, "warm replay reached the engine");
-        assert!(sb.warm_disk_hits > 0, "warm replay never touched the store");
+        let r = &sb.replay;
+        assert_eq!((sb.requests, r.cold.total()), (10, 50));
+        assert_eq!(r.cold.misses, 45, "unique-query count drifted");
+        assert_eq!(r.warm.misses, 0, "warm replay reached the engine");
+        assert!(r.warm.disk_hits > 0, "warm replay never touched the store");
         assert_eq!(sb.inflight_dedupe_misses, 1, "single-flight dedupe broke");
-        assert!(sb.cold_batch_ms > 0.0 && sb.warm_batch_ms > 0.0);
+        assert!(r.cold_ms > 0.0 && r.warm_ms > 0.0);
     }
 
     fn sample_sched() -> SchedBench {
@@ -1327,7 +1208,7 @@ mod tests {
 
     #[test]
     fn sched_section_carries_every_key() {
-        let s = sample_sched().to_json_section();
+        let s = sample_snapshot();
         for key in [
             "\"sched\": {",
             "\"machine\": \"fugaku\"",
@@ -1344,30 +1225,21 @@ mod tests {
         ] {
             assert!(s.contains(key), "sched section missing {key}:\n{s}");
         }
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
+        let v = json::parse(&s).expect("valid JSON");
+        let sched = v.get("sched").expect("sched section");
+        assert_eq!(sched.get("machine").and_then(Value::as_str), Some("fugaku"));
     }
 
     #[test]
     fn sched_section_splices_next_to_serve() {
-        // bench-all splices cache, serve and sched as siblings; the
-        // combined extra must keep the JSON balanced.
-        let hb = HostBench {
-            detected_cores: 4,
-            pool_threads: 4,
-            rayon_threads_env: None,
-            kernels: vec![],
-            network: sample_network(),
-            hpcg: sample_hpcg(),
-        };
-        let extra = format!(
-            "{},\n{}",
-            sample_serve().to_json_section(),
-            sample_sched().to_json_section()
+        // cache, serve and sched are siblings of the host sections.
+        let v = json::parse(&sample_snapshot()).expect("valid JSON");
+        assert_eq!(
+            v.get("cache").and_then(Value::as_array).map(<[_]>::len),
+            Some(0)
         );
-        let j = hb.to_json_with(&extra);
-        assert!(j.contains("\"serve\": {"));
-        assert!(j.contains("\"sched\": {"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        assert!(v.get("serve").and_then(|s| s.get("jobs")).is_some());
+        assert!(v.get("sched").and_then(|s| s.get("jobs")).is_some());
     }
 
     #[test]

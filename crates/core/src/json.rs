@@ -1,11 +1,13 @@
-//! A minimal JSON reader/writer for the `serve` wire protocol.
+//! The workspace's one JSON reader and writer.
 //!
 //! The workspace is dependency-free by policy (its one codec,
-//! `simkit::codec`, is binary, not JSON), and the serve protocol only
-//! needs flat request objects, so a ~150-line recursive-descent parser is
-//! the whole story. Numbers are kept as `f64` — the protocol's only
-//! numeric fields are ids and node counts, both well inside the
-//! exact-integer range.
+//! `simkit::codec`, is binary, not JSON). [`parse`] is a small
+//! recursive-descent reader for the `serve` wire protocol; numbers are
+//! kept as `f64`, since the protocol's only numeric fields are ids and
+//! node counts, both well inside the exact-integer range. `Writer` is
+//! the only code that emits JSON: the `serve` responses and the
+//! `bench-all --json` snapshot both render through it, so escaping,
+//! separators and indentation are decided here and nowhere else.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -24,7 +26,7 @@ pub enum Value {
     /// An array.
     Arr(Vec<Value>),
     /// An object. Sorted keys — the protocol never uses duplicate keys and
-    /// responses are emitted by hand, so ordering here is irrelevant.
+    /// no reader depends on key order.
     Obj(BTreeMap<String, Value>),
 }
 
@@ -245,6 +247,12 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
 /// Escape `s` for embedding inside a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`], appending to `out`.
+fn escape_into(out: &mut String, s: &str) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -258,7 +266,137 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+}
+
+/// A streaming JSON writer into one `String`: `w.obj(|w| w.key("id").uint(7))`
+/// writes `{"id":7}`. Keys keep insertion order, strings always go through
+/// [`escape`], non-finite floats (which JSON cannot spell) become `null`,
+/// and containers are written by closures, so they always close.
+#[derive(Debug, Default)]
+pub(crate) struct Writer {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// The innermost open container already holds a member or element.
+    filled: bool,
+    /// A key was just written, so the next value completes its member.
+    after_key: bool,
+}
+
+impl Writer {
+    /// The single-line layout (the `serve` wire format).
+    pub fn compact() -> Self {
+        Self::default()
+    }
+
+    /// One member or element per line, indented two spaces per level,
+    /// with `": "` after keys.
+    pub fn pretty() -> Self {
+        Self {
+            pretty: true,
+            ..Self::default()
+        }
+    }
+
+    /// The rendered document.
+    pub fn finish(self) -> String {
+        debug_assert_eq!(self.depth, 0, "finish inside an open container");
+        self.out
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// Start a value. Unless a key already started its member, that is a
+    /// comma after the previous element and, pretty, a fresh line.
+    fn value(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.after_key) {
+            if std::mem::replace(&mut self.filled, true) {
+                self.out.push(',');
+            }
+            if self.pretty && self.depth > 0 {
+                self.newline();
+            }
+        }
+        &mut self.out
+    }
+
+    /// Write an object key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.str(key);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    /// Write an object whose members `body` writes.
+    pub fn obj(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container('{', '}', body);
+    }
+
+    /// Write an array whose elements `body` writes.
+    pub fn arr(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container('[', ']', body);
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) {
+        self.value().push(open);
+        self.depth += 1;
+        self.filled = false;
+        body(self);
+        self.depth -= 1;
+        if self.pretty && self.filled {
+            self.newline();
+        }
+        self.out.push(close);
+        self.filled = true;
+    }
+
+    /// Write a string.
+    pub fn str(&mut self, s: &str) {
+        let out = self.value();
+        out.push('"');
+        escape_into(out, s);
+        out.push('"');
+    }
+
+    /// Write an integer.
+    pub fn uint(&mut self, v: u64) {
+        let _ = write!(self.value(), "{v}");
+    }
+
+    /// Write a float in its shortest round-trip form (`Display`).
+    pub fn num(&mut self, v: f64) {
+        if v.is_finite() {
+            let _ = write!(self.value(), "{v}");
+        } else {
+            self.null();
+        }
+    }
+
+    /// Write a float with exactly `decimals` digits after the point.
+    pub fn fixed(&mut self, v: f64, decimals: usize) {
+        if v.is_finite() {
+            let _ = write!(self.value(), "{v:.decimals$}");
+        } else {
+            self.null();
+        }
+    }
+
+    /// Write `null`.
+    pub fn null(&mut self) {
+        self.raw("null");
+    }
+
+    /// Write an already-rendered JSON value verbatim, such as a compact
+    /// document from another `Writer`.
+    pub fn raw(&mut self, json: &str) {
+        self.value().push_str(json);
+    }
 }
 
 #[cfg(test)]
@@ -309,5 +447,75 @@ mod tests {
         assert_eq!(parse("true").unwrap().as_bool(), Some(true));
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+    }
+
+    fn sample(mut w: Writer) -> String {
+        w.obj(|w| {
+            w.key("name").str("a\"b\\c\nd");
+            w.key("n").uint(42);
+            w.key("x").num(0.1 + 0.2);
+            w.key("f").fixed(2.0 / 3.0, 3);
+            w.key("none").null();
+            w.key("empty").arr(|_| {});
+            w.key("rows").arr(|w| {
+                w.obj(|w| w.key("k").fixed(1.0, 1));
+                w.raw(r#"{"pre":[1,2]}"#);
+            });
+        });
+        w.finish()
+    }
+
+    #[test]
+    fn compact_layout_is_one_line() {
+        assert_eq!(
+            sample(Writer::compact()),
+            r#"{"name":"a\"b\\c\nd","n":42,"x":0.30000000000000004,"f":0.667,"none":null,"empty":[],"rows":[{"k":1.0},{"pre":[1,2]}]}"#
+        );
+    }
+
+    #[test]
+    fn pretty_layout_indents_two_spaces_per_level() {
+        let want = r#"{
+  "name": "a\"b\\c\nd",
+  "n": 42,
+  "x": 0.30000000000000004,
+  "f": 0.667,
+  "none": null,
+  "empty": [],
+  "rows": [
+    {
+      "k": 1.0
+    },
+    {"pre":[1,2]}
+  ]
+}"#;
+        assert_eq!(sample(Writer::pretty()), want);
+    }
+
+    #[test]
+    fn written_documents_parse_back() {
+        for text in [sample(Writer::compact()), sample(Writer::pretty())] {
+            let v = parse(&text).unwrap();
+            assert_eq!(v.get("name").unwrap().as_str(), Some("a\"b\\c\nd"));
+            assert_eq!(v.get("x").unwrap().as_f64(), Some(0.1 + 0.2));
+            assert_eq!(v.get("none"), Some(&Value::Null));
+            assert_eq!(v.get("rows").unwrap().as_array().unwrap().len(), 2);
+        }
+        // Keys and control characters are escaped too.
+        let mut w = Writer::compact();
+        w.obj(|w| w.key("k\"\u{1}").str("\t"));
+        let v = parse(&w.finish()).unwrap();
+        assert_eq!(v.get("k\"\u{1}").unwrap().as_str(), Some("\t"));
+    }
+
+    #[test]
+    fn non_finite_floats_are_null() {
+        let mut w = Writer::compact();
+        w.arr(|w| {
+            w.num(f64::NAN);
+            w.fixed(f64::INFINITY, 2);
+            w.num(-0.5);
+        });
+        assert_eq!(w.finish(), "[null,null,-0.5]");
     }
 }

@@ -31,15 +31,17 @@
 //! hpcg), `machine` (cte-arm | mn4), `nodes`, plus `io` (wrf: write
 //! history output) and `version` (hpcg: vanilla | optimized). A malformed
 //! or failing query yields `{"error":"…"}` in its result slot; a
-//! malformed request line yields `{"id":null,"error":"…"}`.
+//! malformed request line yields `{"id":null,"error":"…"}`. So does a line
+//! that is not UTF-8 or is longer than [`MAX_LINE_BYTES`]; serving goes on
+//! with the next line either way.
 
 use crate::engine::{run_indexed, Ctx};
-use crate::json::{self, Value};
+use crate::json::{self, Value, Writer};
 use apps::common::Cluster;
 use simkit::cache::TierCounters;
 use simkit::store::Store;
-use std::fmt::Write as _;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,7 +54,7 @@ pub fn model_code_hash() -> u64 {
 }
 
 /// Open the persistent store for the current model revision under `dir`.
-pub fn open_store(dir: &std::path::Path) -> io::Result<Arc<Store>> {
+pub fn open_store(dir: &Path) -> io::Result<Arc<Store>> {
     Ok(Arc::new(Store::open(dir, model_code_hash())?))
 }
 
@@ -185,23 +187,19 @@ impl Query {
                             .simulate_cached(cache, *cluster, *nodes),
                         other => unreachable!("Query::parse admitted app '{other}'"),
                     };
-                let mut out = format!(
-                    "{{\"app\":\"{app}\",\"machine\":\"{}\",\"nodes\":{nodes},\"elapsed_s\":{}",
-                    cluster.label(),
-                    run.elapsed.value()
-                );
-                if !run.phases.is_empty() {
-                    out.push_str(",\"phases\":{");
-                    for (i, (name, t)) in run.phases.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "\"{}\":{}", json::escape(name), t.value());
+                render(|w| {
+                    w.key("app").str(app);
+                    w.key("machine").str(cluster.label());
+                    w.key("nodes").uint(*nodes as u64);
+                    w.key("elapsed_s").num(run.elapsed.value());
+                    if !run.phases.is_empty() {
+                        w.key("phases").obj(|w| {
+                            for (name, t) in &run.phases {
+                                w.key(name).num(t.value());
+                            }
+                        });
                     }
-                    out.push('}');
-                }
-                out.push('}');
-                out
+                })
             }
             Query::Hpl { cluster, nodes } => {
                 let machine = cluster.machine();
@@ -211,14 +209,14 @@ impl Query {
                 };
                 let cfg = hpl::paper_config(&machine, *nodes);
                 let r = hpl::simulate_cached(&ctx.cache, &machine, &link, *nodes, &cfg);
-                format!(
-                    "{{\"app\":\"hpl\",\"machine\":\"{}\",\"nodes\":{nodes},\
-                     \"gflops\":{},\"efficiency\":{},\"time_s\":{}}}",
-                    cluster.label(),
-                    r.gflops,
-                    r.efficiency,
-                    r.time.value()
-                )
+                render(|w| {
+                    w.key("app").str("hpl");
+                    w.key("machine").str(cluster.label());
+                    w.key("nodes").uint(*nodes as u64);
+                    w.key("gflops").num(r.gflops);
+                    w.key("efficiency").num(r.efficiency);
+                    w.key("time_s").num(r.time.value());
+                })
             }
             Query::Hpcg {
                 cluster,
@@ -228,21 +226,44 @@ impl Query {
                 let machine = cluster.machine();
                 let cfg = hpcg::HpcgConfig::paper(*version);
                 let r = hpcg::simulate_cached(&ctx.cache, &machine, *nodes, &cfg);
-                format!(
-                    "{{\"app\":\"hpcg\",\"machine\":\"{}\",\"nodes\":{nodes},\
-                     \"version\":\"{}\",\"gflops\":{},\"fraction_of_peak\":{},\"time_s\":{}}}",
-                    cluster.label(),
-                    match version {
+                render(|w| {
+                    w.key("app").str("hpcg");
+                    w.key("machine").str(cluster.label());
+                    w.key("nodes").uint(*nodes as u64);
+                    w.key("version").str(match version {
                         hpcg::HpcgVersion::Vanilla => "vanilla",
                         hpcg::HpcgVersion::Optimized => "optimized",
-                    },
-                    r.gflops,
-                    r.fraction_of_peak,
-                    r.time.value()
-                )
+                    });
+                    w.key("gflops").num(r.gflops);
+                    w.key("fraction_of_peak").num(r.fraction_of_peak);
+                    w.key("time_s").num(r.time.value());
+                })
             }
         }
     }
+}
+
+/// Render one compact JSON object whose members `members` writes.
+fn render(members: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::compact();
+    w.obj(members);
+    w.finish()
+}
+
+/// The `{"id":…,"error":…}` line for a request that cannot be answered.
+fn request_error(id: Option<u64>, message: &str) -> String {
+    render(|w| {
+        match id {
+            Some(id) => w.key("id").uint(id),
+            None => w.key("id").null(),
+        }
+        w.key("error").str(message);
+    })
+}
+
+/// The `{"error":…}` object in a failed query's result slot.
+fn query_error(message: &str) -> String {
+    render(|w| w.key("error").str(message))
 }
 
 /// Render the response line for one raw request line. Pure except for
@@ -251,16 +272,13 @@ impl Query {
 pub fn respond(ctx: &Ctx, line: &str, jobs: usize) -> String {
     let parsed = match json::parse(line) {
         Ok(v) => v,
-        Err(e) => return format!("{{\"id\":null,\"error\":\"{}\"}}", json::escape(&e)),
+        Err(e) => return request_error(None, &e),
     };
-    let id = match parsed.get("id").and_then(Value::as_u64) {
-        Some(id) => id,
-        None => {
-            return "{\"id\":null,\"error\":\"request needs an integer 'id' field\"}".to_string()
-        }
+    let Some(id) = parsed.get("id").and_then(Value::as_u64) else {
+        return request_error(None, "request needs an integer 'id' field");
     };
     let Some(queries) = parsed.get("queries").and_then(Value::as_array) else {
-        return format!("{{\"id\":{id},\"error\":\"request needs a 'queries' array\"}}");
+        return request_error(Some(id), "request needs a 'queries' array");
     };
     // Validate serially (cheap), evaluate in parallel (expensive). The
     // per-slot design of `run_indexed` makes the output order — and with
@@ -274,24 +292,22 @@ pub fn respond(ctx: &Ctx, line: &str, jobs: usize) -> String {
             // poison its slot, not the server.
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.answer(ctx))).unwrap_or_else(
                 |_| {
-                    format!(
-                        "{{\"error\":\"query {i} panicked in the engine — \
-                         see server log\"}}"
-                    )
+                    query_error(&format!(
+                        "query {i} panicked in the engine — see server log"
+                    ))
                 },
             )
         }
-        Err(e) => format!("{{\"error\":\"{}\"}}", json::escape(e)),
+        Err(e) => query_error(e),
     });
-    let mut out = format!("{{\"id\":{id},\"results\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(r);
-    }
-    out.push_str("]}");
-    out
+    render(|w| {
+        w.key("id").uint(id);
+        w.key("results").arr(|w| {
+            for r in &results {
+                w.raw(r);
+            }
+        });
+    })
 }
 
 /// What one [`serve`] session did, for the stderr summary.
@@ -305,26 +321,66 @@ pub struct ServeSummary {
     pub counters: TierCounters,
 }
 
+/// Longest request line [`serve`] reads, in bytes, newline excluded (a
+/// canned 5-query request is about 250). A longer line is skipped without
+/// being buffered and answered with an error line.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Read the next line of `input` into `buf`, without its `\n` or `\r\n`.
+/// `Ok(None)` at end of input; `Ok(Some(false))` for a line longer than
+/// [`MAX_LINE_BYTES`], which is skipped to its newline one bounded chunk
+/// at a time.
+fn read_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    let mut chunk = |buf: &mut Vec<u8>| {
+        buf.clear();
+        input.take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf)
+    };
+    if chunk(buf)? == 0 {
+        return Ok(None);
+    }
+    let ended = buf.ends_with(b"\n");
+    if !ended && buf.len() > MAX_LINE_BYTES {
+        while chunk(buf)? > 0 && !buf.ends_with(b"\n") {}
+        return Ok(Some(false));
+    }
+    let eol = if buf.ends_with(b"\r\n") {
+        2
+    } else {
+        usize::from(ended)
+    };
+    buf.truncate(buf.len() - eol);
+    Ok(Some(true))
+}
+
 /// Serve line-delimited JSON requests from `input` to `output` until EOF.
 /// Each response line is flushed before the next request is read, so a
 /// driving process can pipeline. Batch statistics go to `log`.
 pub fn serve(
     ctx: &Ctx,
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     mut log: impl Write,
     jobs: usize,
 ) -> io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
     let before = ctx.cache.counters();
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
+    let mut buf = Vec::new();
+    while let Some(fits) = read_line(&mut input, &mut buf)? {
+        let line = match std::str::from_utf8(&buf) {
+            _ if !fits => Err(format!("request line longer than {MAX_LINE_BYTES} bytes")),
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => Ok(line),
+            Err(e) => Err(format!(
+                "request line is not valid UTF-8 (byte {})",
+                e.valid_up_to()
+            )),
+        };
         let started = Instant::now();
         let counters_at = ctx.cache.counters();
-        let response = respond(ctx, &line, jobs);
+        let response = match line {
+            Ok(line) => respond(ctx, line, jobs),
+            Err(e) => request_error(None, &e),
+        };
         output.write_all(response.as_bytes())?;
         output.write_all(b"\n")?;
         output.flush()?;
@@ -355,9 +411,17 @@ pub fn run_batch(ctx: &Ctx, lines: &[String], jobs: usize) -> Vec<String> {
     lines.iter().map(|l| respond(ctx, l, jobs)).collect()
 }
 
-/// Outcome of [`smoke`], one field per acceptance check.
+/// The request lines of a batch file: its non-blank lines.
+pub fn batch_lines(text: &str) -> Vec<String> {
+    text.lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(String::from)
+        .collect()
+}
+
+/// Timing and cache traffic of a [`replay_cold_warm`].
 #[derive(Debug, Clone)]
-pub struct SmokeReport {
+pub struct ReplayReport {
     /// Wall time of the cold replay (fresh store, every query a miss).
     pub cold_ms: f64,
     /// Wall time of the warm replay (reopened store, no engine work).
@@ -368,89 +432,75 @@ pub struct SmokeReport {
     pub warm: TierCounters,
 }
 
-/// Cold/warm self-test over a canned batch file: replay it against a
-/// fresh store, then reopen the store in a new context and replay again.
-/// Fails unless the warm replay (a) produced byte-identical responses,
-/// (b) never missed into the engine, and (c) beat the cold replay by the
-/// `speedup` factor the store exists to deliver.
-pub fn smoke(
-    batch_path: &std::path::Path,
-    jobs: usize,
-    speedup: f64,
-) -> Result<SmokeReport, String> {
-    let text = std::fs::read_to_string(batch_path)
-        .map_err(|e| format!("cannot read {}: {e}", batch_path.display()))?;
-    let lines: Vec<String> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(String::from)
-        .collect();
-    if lines.is_empty() {
-        return Err(format!("{} holds no requests", batch_path.display()));
-    }
-    let dir = std::env::temp_dir().join(format!("cluster-eval-smoke-{}", std::process::id()));
+/// Replay `lines` against a fresh store in a scratch directory, then
+/// reopen the store in a new context, as a restarted server would, and
+/// replay them again. Fails if the warm responses differ from the cold
+/// ones. The scratch store is removed on return.
+pub fn replay_cold_warm(lines: &[String], jobs: usize) -> Result<ReplayReport, String> {
+    let dir = std::env::temp_dir().join(format!("cluster-eval-replay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let result = smoke_in(&dir, &lines, jobs, speedup);
+    let result = replay_in(&dir, lines, jobs);
     let _ = std::fs::remove_dir_all(&dir);
     result
 }
 
-fn smoke_in(
-    dir: &std::path::Path,
-    lines: &[String],
-    jobs: usize,
-    speedup: f64,
-) -> Result<SmokeReport, String> {
-    let open = || open_store(dir).map_err(|e| format!("store open failed: {e}"));
-
-    let cold_ctx = Ctx::with_store(open()?);
-    let t0 = Instant::now();
-    let cold_out = run_batch(&cold_ctx, lines, jobs);
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let cold = cold_ctx.cache.counters();
-    drop(cold_ctx); // flush the index, as a server shutdown would
-
-    let warm_ctx = Ctx::with_store(open()?);
-    let t1 = Instant::now();
-    let warm_out = run_batch(&warm_ctx, lines, jobs);
-    let warm_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let warm = warm_ctx.cache.counters();
-
-    if cold.misses == 0 {
-        return Err("cold replay missed nothing — the batch exercised no simulations".into());
-    }
-    if warm_out != cold_out {
-        let at = cold_out
-            .iter()
-            .zip(&warm_out)
-            .position(|(a, b)| a != b)
-            .unwrap_or(0);
+fn replay_in(dir: &Path, lines: &[String], jobs: usize) -> Result<ReplayReport, String> {
+    // Each replay drops its context on return, which flushes the index as
+    // a server shutdown would.
+    let replay = || {
+        let ctx = Ctx::with_store(open_store(dir).map_err(|e| format!("store open failed: {e}"))?);
+        let t0 = Instant::now();
+        let out = run_batch(&ctx, lines, jobs);
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        Ok::<_, String>((out, ms, ctx.cache.counters()))
+    };
+    let (cold_out, cold_ms, cold) = replay()?;
+    let (warm_out, warm_ms, warm) = replay()?;
+    if let Some(at) = cold_out.iter().zip(&warm_out).position(|(a, b)| a != b) {
         return Err(format!(
             "warm replay diverged from cold at response {at}:\n  cold: {}\n  warm: {}",
             cold_out[at], warm_out[at]
         ));
     }
-    if warm.misses != 0 {
-        return Err(format!(
-            "warm replay reached the engine {} times — the store failed to serve it",
-            warm.misses
-        ));
-    }
-    if warm.disk_hits == 0 {
-        return Err("warm replay never touched the disk tier".into());
-    }
-    if cold_ms < speedup * warm_ms {
-        return Err(format!(
-            "warm replay too slow: cold {cold_ms:.1} ms vs warm {warm_ms:.1} ms \
-             (need >{speedup}x)"
-        ));
-    }
-    Ok(SmokeReport {
+    Ok(ReplayReport {
         cold_ms,
         warm_ms,
         cold,
         warm,
     })
+}
+
+/// Cold/warm self-test over a canned batch file ([`replay_cold_warm`]).
+/// Fails unless the warm replay (a) produced byte-identical responses,
+/// (b) never missed into the engine, and (c) beat the cold replay by the
+/// `speedup` factor the store exists to deliver.
+pub fn smoke(batch_path: &Path, jobs: usize, speedup: f64) -> Result<ReplayReport, String> {
+    let text = std::fs::read_to_string(batch_path)
+        .map_err(|e| format!("cannot read {}: {e}", batch_path.display()))?;
+    let lines = batch_lines(&text);
+    if lines.is_empty() {
+        return Err(format!("{} holds no requests", batch_path.display()));
+    }
+    let r = replay_cold_warm(&lines, jobs)?;
+    if r.cold.misses == 0 {
+        return Err("cold replay missed nothing — the batch exercised no simulations".into());
+    }
+    if r.warm.misses != 0 {
+        return Err(format!(
+            "warm replay reached the engine {} times — the store failed to serve it",
+            r.warm.misses
+        ));
+    }
+    if r.warm.disk_hits == 0 {
+        return Err("warm replay never touched the disk tier".into());
+    }
+    if r.cold_ms < speedup * r.warm_ms {
+        return Err(format!(
+            "warm replay too slow: cold {:.1} ms vs warm {:.1} ms (need >{speedup}x)",
+            r.cold_ms, r.warm_ms
+        ));
+    }
+    Ok(r)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! # hpcg — the HPCG benchmark (Fig. 7)
 //!
-//! Like [`hpl`], two halves:
+//! Like `hpl`, two halves:
 //!
 //! * The **real algorithm** — 27-point operator, symmetric Gauss–Seidel,
 //!   preconditioned CG — lives in [`kernels::cg`] and is exercised end to

@@ -29,7 +29,7 @@
 //!   sizes), derived from the [`arch::cachesim`] A64FX cache model.
 //!
 //! Each kernel reports its operation counts (`flops()` / `bytes()`), which
-//! the simulator crates turn into [`arch`-style] kernel profiles; the
+//! the simulator crates turn into `arch`-style kernel profiles; the
 //! kernels themselves run on the host for correctness tests and the
 //! `cluster-eval bench-all` throughput rows.
 

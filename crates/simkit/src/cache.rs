@@ -9,7 +9,7 @@
 //!
 //! Since the evaluation-as-a-service work the cache is **two-tier**: the
 //! in-memory table below, optionally backed by a disk
-//! [`Store`](crate::store::Store) shared across processes. Lookups go
+//! [`Store`] shared across processes. Lookups go
 //! memory → disk → compute, and the accounting distinguishes the three
 //! outcomes ([`TierCounters`]: `mem_hits` / `disk_hits` / `misses`).
 //!

@@ -10,11 +10,20 @@
 //!   cost exactly one engine miss; the second is a memory hit.
 //! * **Deterministic failure** — malformed requests and failing queries
 //!   produce stable, in-order error lines, not dropped responses; a
-//!   hostile line (200,000 nested `[`) is one of them, not a crash.
+//!   hostile line (200,000 nested `[`) is one of them, not a crash, and
+//!   so are a line that is not UTF-8 and one longer than `MAX_LINE_BYTES`.
+//! * **Pinned wire bytes** — the canned batch's responses equal the
+//!   committed `tests/golden/serve/batch_50.jsonl`. After an intended
+//!   model change, regenerate it and review the diff:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test serve_determinism
+//! git diff tests/golden/serve/
+//! ```
 
 use cluster_eval::engine::Ctx;
-use cluster_eval::serve::{open_store, respond, run_batch};
-use std::path::Path;
+use cluster_eval::serve::{open_store, respond, run_batch, MAX_LINE_BYTES};
+use std::path::{Path, PathBuf};
 
 mod common;
 use common::{at, TempDir, THREAD_LADDER};
@@ -34,6 +43,28 @@ fn canned_batch() -> Vec<String> {
         "the canned batch is 10 requests of 5 queries"
     );
     lines
+}
+
+fn updating() -> bool {
+    std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+#[test]
+fn canned_batch_responses_match_the_golden_wire_bytes() {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/serve/batch_50.jsonl");
+    let got = run_batch(&Ctx::new(), &canned_batch(), 2).join("\n") + "\n";
+    if updating() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
+        std::fs::write(&path, &got).expect("write snapshot");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    for (i, (w, g)) in want.lines().zip(got.lines()).enumerate() {
+        assert_eq!(w, g, "response {} differs from the golden", i + 1);
+    }
+    assert_eq!(want, got, "response count or line endings differ");
 }
 
 #[test]
@@ -199,4 +230,58 @@ fn deeply_nested_line_is_an_error_line_and_serving_continues() {
         &lines[0][..lines[0].len().min(120)]
     );
     assert_eq!(lines[1], run_batch(&Ctx::new(), &[valid], 2)[0]);
+}
+
+/// Drive the real serve loop over raw input bytes and return its response
+/// lines.
+fn serve_bytes(input: impl std::io::Read) -> Vec<String> {
+    let mut out = Vec::new();
+    let summary = cluster_eval::serve::serve(
+        &Ctx::new(),
+        std::io::BufReader::new(input),
+        &mut out,
+        std::io::sink(),
+        2,
+    )
+    .expect("serve");
+    let text = String::from_utf8(out).expect("utf8 responses");
+    let lines: Vec<String> = text.lines().map(String::from).collect();
+    assert_eq!(summary.requests as usize, lines.len());
+    lines
+}
+
+#[test]
+fn non_utf8_line_is_an_error_line_and_serving_continues() {
+    let valid = canned_batch().swap_remove(0);
+    let mut input = b"{\"id\": 1, \"queries\": [\xff]}\n".to_vec();
+    input.extend_from_slice(valid.as_bytes());
+    input.push(b'\n');
+    let lines = serve_bytes(&input[..]);
+    assert_eq!(lines.len(), 2, "one error line, then the valid answer");
+    assert_eq!(
+        lines[0],
+        "{\"id\":null,\"error\":\"request line is not valid UTF-8 (byte 22)\"}"
+    );
+    assert_eq!(lines[1], run_batch(&Ctx::new(), &[valid], 2)[0]);
+}
+
+#[test]
+fn over_long_line_is_an_error_line_and_serving_continues() {
+    use std::io::Read;
+    let valid = canned_batch().swap_remove(0);
+    // A line at the limit is still read; one byte more is not, and a line
+    // many reader buffers long is skipped to its newline.
+    let at_limit = format!("{valid}{}\n", " ".repeat(MAX_LINE_BYTES - valid.len()));
+    let over = "x".repeat(MAX_LINE_BYTES + 1) + "\n";
+    let input = std::io::repeat(b' ')
+        .take(4 * MAX_LINE_BYTES as u64)
+        .chain(b"\n".as_slice())
+        .chain(over.as_bytes())
+        .chain(at_limit.as_bytes())
+        .chain(valid.as_bytes());
+    let lines = serve_bytes(input);
+    let too_long =
+        format!("{{\"id\":null,\"error\":\"request line longer than {MAX_LINE_BYTES} bytes\"}}");
+    let answer = run_batch(&Ctx::new(), std::slice::from_ref(&valid), 2).swap_remove(0);
+    assert_eq!(lines, [too_long.clone(), too_long, answer.clone(), answer]);
 }
