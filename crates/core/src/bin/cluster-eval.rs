@@ -36,6 +36,32 @@ use cluster_eval::extensions::{extension_experiments, run_extension};
 use cluster_eval::faults::{campaign, campaigns, run_campaign};
 use std::process::ExitCode;
 
+/// `out!` that ends the process quietly when stdout has been closed
+/// (`cluster-eval list | head -2`), where `out!` would panic.
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `outln!` with the same closed-stdout handling as [`out!`].
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Write to stdout. A reader that went away (broken pipe) ends the command
+/// with success and no message — the reader asked for no more output; any
+/// other write failure is reported and exits 1.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cluster-eval: writing to stdout failed: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  cluster-eval list\n  cluster-eval run <id> [--csv]\n  \
@@ -84,12 +110,16 @@ fn print_run_summary(reports: &[RunReport]) {
     let total_mem: u64 = reports.iter().map(|r| r.mem_hits).sum();
     let total_disk: u64 = reports.iter().map(|r| r.disk_hits).sum();
     let total_misses: u64 = reports.iter().map(|r| r.misses).sum();
-    println!(
+    outln!(
         "{:<10} {:>10} {:>8} {:>8} {:>8}  title",
-        "id", "wall [ms]", "mem", "disk", "misses"
+        "id",
+        "wall [ms]",
+        "mem",
+        "disk",
+        "misses"
     );
     for r in reports {
-        println!(
+        outln!(
             "{:<10} {:>10.1} {:>8} {:>8} {:>8}  {}",
             r.id,
             r.wall.as_secs_f64() * 1e3,
@@ -99,7 +129,7 @@ fn print_run_summary(reports: &[RunReport]) {
             r.title
         );
     }
-    println!(
+    outln!(
         "{} experiments, {total_mem} mem hits / {total_disk} disk hits / {total_misses} misses",
         reports.len()
     );
@@ -146,7 +176,7 @@ fn run_all(args: &[String]) -> ExitCode {
 fn run_one(id: &str, csv: bool) -> ExitCode {
     match run(id).or_else(|| run_extension(id)) {
         Some(a) => {
-            print!("{}", if csv { a.to_csv() } else { a.to_text() });
+            out!("{}", if csv { a.to_csv() } else { a.to_text() });
             ExitCode::SUCCESS
         }
         None => {
@@ -182,7 +212,7 @@ fn bench_all(csv: bool, json: bool) -> ExitCode {
             .expect("the CTE-Arm model always has a hierarchy config");
         let serve = hostbench::run_serve_bench(2);
         let sched = hostbench::run_sched_bench();
-        print!(
+        out!(
             "{}",
             hostbench::snapshot_json(&host, &cache, &serve, &sched)
         );
@@ -193,7 +223,7 @@ fn bench_all(csv: bool, json: bool) -> ExitCode {
     experiments.extend(extension_experiments());
     let reports = run_experiments(experiments, 1, &ctx);
     if csv {
-        print!("{}", reports_csv(&reports));
+        out!("{}", reports_csv(&reports));
     } else {
         print_run_summary(&reports);
     }
@@ -234,9 +264,14 @@ fn bench_delta(args: &[String]) -> ExitCode {
     let second = cluster_eval::hostbench::run_kernel_benches(pool_threads);
     let mut worst = 0.0f64;
     let mut failures = 0usize;
-    println!(
+    outln!(
         "{:<16} {:>12} {:>12} {:>9}  ({} thread pool, limit {:.0}%)",
-        "kernel", "run1", "run2", "delta", pool_threads, max_var
+        "kernel",
+        "run1",
+        "run2",
+        "delta",
+        pool_threads,
+        max_var
     );
     for (a, b) in first.iter().zip(&second) {
         // Compare every reported column; on a 1-wide pool value_nt
@@ -259,7 +294,7 @@ fn bench_delta(args: &[String]) -> ExitCode {
             if over {
                 failures += 1;
             }
-            println!(
+            outln!(
                 "{:<16} {:>9.3} {} {:>9.3} {} {:>8.1}%{}",
                 format!("{}/{}", a.name, label),
                 va,
@@ -272,7 +307,7 @@ fn bench_delta(args: &[String]) -> ExitCode {
         }
     }
     if failures == 0 {
-        println!("bench-delta PASS: worst variance {worst:.1}% <= {max_var:.0}%");
+        outln!("bench-delta PASS: worst variance {worst:.1}% <= {max_var:.0}%");
         ExitCode::SUCCESS
     } else {
         eprintln!(
@@ -305,10 +340,10 @@ fn run_fugaku_smoke(csv: bool) -> ExitCode {
     if csv {
         eprintln!("{summary}");
     } else {
-        println!("{summary}");
+        outln!("{summary}");
     }
     let artifact = cluster_eval::experiments::Artifact::Table(report.table.clone());
-    print!(
+    out!(
         "{}",
         if csv {
             artifact.to_csv()
@@ -327,11 +362,11 @@ fn run_fugaku_smoke(csv: bool) -> ExitCode {
 
 fn run_faults(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--list") {
-        println!("fault campaigns:");
+        outln!("fault campaigns:");
         for c in campaigns() {
-            println!("  {:12} {}", c.name, c.title);
+            outln!("  {:12} {}", c.name, c.title);
         }
-        println!(
+        outln!(
             "  {:12} Machine-scale smoke: folded-table probe battery at 158 976 nodes",
             "fugaku-smoke"
         );
@@ -389,7 +424,7 @@ fn run_faults(args: &[String]) -> ExitCode {
     let ctx = Ctx::new();
     let report = run_campaign(&ctx, &c, jobs);
     let artifact = report.artifact();
-    print!(
+    out!(
         "{}",
         if csv {
             artifact.to_csv()
@@ -444,7 +479,7 @@ fn run_serve(args: &[String]) -> ExitCode {
     if let Some(file) = smoke_file {
         return match cluster_eval::serve::smoke(std::path::Path::new(&file), jobs, 10.0) {
             Ok(r) => {
-                println!(
+                outln!(
                     "serve smoke PASS: cold {:.1} ms ({} misses) -> warm {:.1} ms \
                      ({} disk / {} mem hits, 0 misses), {:.0}x",
                     r.cold_ms,
@@ -554,22 +589,22 @@ fn run_sched_replay(args: &[String]) -> ExitCode {
         }
     }
     if smoke {
-        return match schedreplay::smoke() {
-            Ok(msg) => {
-                println!("sched smoke PASS: {msg}");
-                ExitCode::SUCCESS
+        for check in [schedreplay::smoke, schedreplay::fugaku_day_smoke] {
+            match check() {
+                Ok(msg) => outln!("sched smoke PASS: {msg}"),
+                Err(e) => {
+                    eprintln!("sched smoke FAIL: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
-            Err(e) => {
-                eprintln!("sched smoke FAIL: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        }
+        return ExitCode::SUCCESS;
     }
     let out = schedreplay::run_replay(&config);
     if csv {
-        print!("{}", out.to_csv());
+        out!("{}", out.to_csv());
     } else {
-        print!("{}", out.to_text());
+        out!("{}", out.to_text());
     }
     ExitCode::SUCCESS
 }
@@ -578,13 +613,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
-            println!("paper artifacts:");
+            outln!("paper artifacts:");
             for e in all_experiments() {
-                println!("  {:8} [Sec. {:5}] {}", e.id, e.section, e.title);
+                outln!("  {:8} [Sec. {:5}] {}", e.id, e.section, e.title);
             }
-            println!("extensions:");
+            outln!("extensions:");
             for e in extension_experiments() {
-                println!("  {:16} [{}] {}", e.id, e.section, e.title);
+                outln!("  {:16} [{}] {}", e.id, e.section, e.title);
             }
             ExitCode::SUCCESS
         }
@@ -609,7 +644,7 @@ fn main() -> ExitCode {
             let dir = args.get(1).cloned().unwrap_or_else(|| "report".into());
             match cluster_eval::report::generate_report(std::path::Path::new(&dir)) {
                 Ok(artifacts) => {
-                    println!("wrote {} artifacts to {dir}", artifacts.len());
+                    outln!("wrote {} artifacts to {dir}", artifacts.len());
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
@@ -620,16 +655,16 @@ fn main() -> ExitCode {
         }
         Some("validate") => {
             let t = cluster_eval::validation::validation_report();
-            print!("{}", t.to_text());
+            out!("{}", t.to_text());
             let failing = cluster_eval::validation::checks()
                 .iter()
                 .filter(|c| !c.passes())
                 .count();
             if failing == 0 {
-                println!("\nall checks PASS");
+                outln!("\nall checks PASS");
                 ExitCode::SUCCESS
             } else {
-                println!("\n{failing} checks FAIL");
+                outln!("\n{failing} checks FAIL");
                 ExitCode::FAILURE
             }
         }
@@ -650,7 +685,7 @@ fn main() -> ExitCode {
             };
             match cluster_eval::cachemodel::render_report(&machine) {
                 Some(r) => {
-                    print!("{r}");
+                    out!("{r}");
                     ExitCode::SUCCESS
                 }
                 None => {
@@ -664,7 +699,7 @@ fn main() -> ExitCode {
         Some("sched-replay") => run_sched_replay(&args[1..]),
         Some("table4") => {
             let a = run("table4").expect("table4 is registered");
-            print!("{}", a.to_text());
+            out!("{}", a.to_text());
             ExitCode::SUCCESS
         }
         _ => usage(),

@@ -592,9 +592,15 @@ pub fn run_network_bench(pool_threads: usize) -> NetworkBench {
     let direct = Network::new(TofuD::cte_arm(), LinkModel::tofud());
     let cached = Network::new(TofuD::cte_arm(), LinkModel::tofud());
     cached.routing_table();
+    // The last timed build is kept for its footprint, so the snapshot
+    // never pays one more, untimed build just to read `memory_bytes`.
+    let mut folded = None;
     let folded_build_ms = calibrated_best(|| {
-        std::hint::black_box(FoldedTable::build(&fugaku));
+        folded = Some(std::hint::black_box(FoldedTable::build(&fugaku)));
     }) * 1e3;
+    let folded_table_bytes = folded
+        .expect("calibrated_best runs its closure")
+        .memory_bytes();
     NetworkBench {
         route_topology: topo_label(&small),
         routes_per_sec: bench_resolve_rate(&cached),
@@ -607,7 +613,7 @@ pub fn run_network_bench(pool_threads: usize) -> NetworkBench {
         folded_topology: topo_label(&fugaku),
         folded_routes_per_sec: bench_folded_resolve_rate(&small),
         folded_build_ms,
-        folded_table_bytes: FoldedTable::build(&fugaku).memory_bytes(),
+        folded_table_bytes,
         sweep_10k_topology: topo_label(&tenk),
         sweep_10k_closed_ms: bench_closed_sweep(&tenk),
         fugaku_sweep_closed_ms: bench_closed_sweep(&fugaku),

@@ -9,16 +9,15 @@
 //! scheduler replays" follow-on asked for.
 //!
 //! `smoke()` is the CI self-test: a small deterministic replay (with an
-//! injected failure burst) runs through the run-indexed allocator *and*
-//! the retained scan-based oracle on every policy, demands byte-identical
-//! stats, and pins them against `tests/golden/sched/smoke.csv`
-//! (`UPDATE_GOLDEN=1` regenerates).
+//! injected failure burst) runs on every policy and its stats are pinned
+//! against `tests/golden/sched/smoke.csv` (`UPDATE_GOLDEN=1` regenerates).
+//! The integration tests replay the same rows through the scan-based
+//! oracle allocator and demand byte-identical output.
 
 use interconnect::tofu::TofuD;
 use interconnect::topology::{NodeId, Topology};
 use sched::{
-    AllocationPolicy, Allocator, NodeFailure, NodePool, OracleAllocator, ReplaySpec, Scheduler,
-    SchedulerStats,
+    AllocationPolicy, Allocator, NodeFailure, NodePool, ReplaySpec, Scheduler, SchedulerStats,
 };
 use simkit::units::Time;
 use std::fmt::Write as _;
@@ -194,32 +193,32 @@ impl ReplayOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Smoke test: oracle equivalence + golden stats.
+// Smoke test: golden stats.
 // ---------------------------------------------------------------------------
 
 /// Smoke-replay scale: 2 days × 150 jobs/day on CTE-Arm.
 const SMOKE_DAYS: usize = 2;
 const SMOKE_JOBS_PER_DAY: usize = 150;
-const SMOKE_SEED: u64 = 7;
+/// Seed of the smoke workload and of its allocators.
+pub const SMOKE_SEED: u64 = 7;
 
-fn smoke_failures() -> Vec<NodeFailure> {
-    // A three-node burst mid-way through day 1: exercises the kill /
-    // requeue / drain path in both allocators.
-    [40usize, 41, 97]
-        .iter()
-        .map(|&n| NodeFailure {
-            node: NodeId(n),
-            at: Time::seconds(45_000.0),
-        })
-        .collect()
-}
+/// The smoke cases: every policy with backfill, plus strict FCFS under the
+/// production policy.
+pub const SMOKE_CASES: [(AllocationPolicy, bool); 4] = [
+    (AllocationPolicy::BestFitContiguous, true),
+    (AllocationPolicy::FirstFit, true),
+    (AllocationPolicy::Random, true),
+    (AllocationPolicy::BestFitContiguous, false),
+];
 
-fn smoke_stats_row<A: NodePool>(allocator: A, policy: AllocationPolicy, backfill: bool) -> String {
-    let spec = ReplaySpec::new(192, SMOKE_DAYS, SMOKE_JOBS_PER_DAY);
-    let workload = spec.generate(SMOKE_SEED);
-    let (_, s) = Scheduler::new(allocator, backfill).run_with_failures(workload, smoke_failures());
-    // `{}` on f64 prints the shortest round-trip representation, so the
-    // golden pins exact bits while staying readable.
+/// Header of the stats tables pinned under `tests/golden/sched/`.
+const STATS_HEADER: &str =
+    "policy,backfill,makespan_s,mean_wait_s,mean_compactness,utilization,requeued,abandoned\n";
+
+/// One stats-table row. `{}` on f64 prints the shortest round-trip
+/// representation, so a golden of these rows pins exact bits while
+/// staying readable.
+fn stats_row(policy: AllocationPolicy, backfill: bool, s: &SchedulerStats) -> String {
     format!(
         "{},{},{},{},{},{},{},{}\n",
         policy_name(policy),
@@ -233,63 +232,44 @@ fn smoke_stats_row<A: NodePool>(allocator: A, policy: AllocationPolicy, backfill
     )
 }
 
-/// The golden file the smoke compares against.
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/sched/smoke.csv")
+fn smoke_failures() -> Vec<NodeFailure> {
+    // A three-node burst mid-way through day 1: exercises the kill /
+    // requeue / drain path in both allocators.
+    [40usize, 41, 97]
+        .iter()
+        .map(|&n| NodeFailure {
+            node: NodeId(n),
+            at: Time::seconds(45_000.0),
+        })
+        .collect()
 }
 
-/// Render the smoke table: every policy with backfill, plus strict FCFS
-/// under the production policy — each row produced by the run-indexed
-/// allocator *after* being checked byte-identical against the oracle.
-///
-/// # Errors
-/// Returns the first optimized-vs-oracle divergence.
-pub fn smoke_table() -> Result<String, String> {
-    let mut out = String::from(
-        "policy,backfill,makespan_s,mean_wait_s,mean_compactness,utilization,requeued,abandoned\n",
-    );
-    let cases = [
-        (AllocationPolicy::BestFitContiguous, true),
-        (AllocationPolicy::FirstFit, true),
-        (AllocationPolicy::Random, true),
-        (AllocationPolicy::BestFitContiguous, false),
-    ];
-    for (policy, backfill) in cases {
-        let fast = smoke_stats_row(
-            Allocator::new(TofuD::cte_arm(), policy, SMOKE_SEED),
-            policy,
-            backfill,
-        );
-        let oracle = smoke_stats_row(
-            OracleAllocator::new(TofuD::cte_arm(), policy, SMOKE_SEED),
-            policy,
-            backfill,
-        );
-        if fast != oracle {
-            return Err(format!(
-                "run-indexed allocator diverged from the oracle:\n  fast:   {fast}  oracle: {oracle}"
-            ));
-        }
-        out.push_str(&fast);
-    }
-    Ok(out)
+/// One smoke row: the smoke workload and its failure burst replayed
+/// through `allocator` (built for `policy`, seeded with [`SMOKE_SEED`]).
+pub fn smoke_row<A: NodePool>(allocator: A, policy: AllocationPolicy, backfill: bool) -> String {
+    let spec = ReplaySpec::new(192, SMOKE_DAYS, SMOKE_JOBS_PER_DAY);
+    let workload = spec.generate(SMOKE_SEED);
+    let (_, s) = Scheduler::new(allocator, backfill).run_with_failures(workload, smoke_failures());
+    stats_row(policy, backfill, &s)
 }
 
-/// Run the smoke: oracle equivalence on every policy, then golden compare.
-/// With `UPDATE_GOLDEN=1` in the environment the golden is rewritten
-/// instead.
-///
-/// # Errors
-/// Returns a description of any divergence or I/O failure.
-pub fn smoke() -> Result<String, String> {
-    let table = smoke_table()?;
-    let path = golden_path();
+/// A golden table under `tests/golden/sched/`.
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/sched")
+        .join(name)
+}
+
+/// Compare `table` with the golden `name`, or rewrite the golden when
+/// `UPDATE_GOLDEN=1` is in the environment. `Ok(true)` when rewritten.
+fn check_golden(name: &str, table: &str) -> Result<bool, String> {
+    let path = golden_path(name);
     let updating = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0");
     if updating {
         std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
             .map_err(|e| format!("creating {}: {e}", path.display()))?;
-        std::fs::write(&path, &table).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        return Ok(format!("updated {}", path.display()));
+        std::fs::write(&path, table).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        return Ok(true);
     }
     let want = std::fs::read_to_string(&path).map_err(|e| {
         format!(
@@ -298,9 +278,9 @@ pub fn smoke() -> Result<String, String> {
         )
     })?;
     if want != table {
-        let mut msg = String::from(
-            "sched smoke stats diverged from the golden \
-             (UPDATE_GOLDEN=1 cluster-eval sched-replay --smoke to regenerate):\n",
+        let mut msg = format!(
+            "sched stats diverged from the golden {name} \
+             (UPDATE_GOLDEN=1 cluster-eval sched-replay --smoke to regenerate):\n"
         );
         for (g, n) in want.lines().zip(table.lines()) {
             if g != n {
@@ -309,10 +289,81 @@ pub fn smoke() -> Result<String, String> {
         }
         return Err(msg);
     }
+    Ok(false)
+}
+
+/// Render the smoke table: one [`smoke_row`] per [`SMOKE_CASES`] entry,
+/// through the run-indexed allocator.
+pub fn smoke_table() -> String {
+    let mut out = String::from(STATS_HEADER);
+    for (policy, backfill) in SMOKE_CASES {
+        out.push_str(&smoke_row(
+            Allocator::new(TofuD::cte_arm(), policy, SMOKE_SEED),
+            policy,
+            backfill,
+        ));
+    }
+    out
+}
+
+/// Run the smoke and compare it with `tests/golden/sched/smoke.csv`. With
+/// `UPDATE_GOLDEN=1` in the environment the golden is rewritten instead.
+///
+/// # Errors
+/// Returns a description of any divergence or I/O failure.
+pub fn smoke() -> Result<String, String> {
+    if check_golden("smoke.csv", &smoke_table())? {
+        return Ok("updated smoke.csv".into());
+    }
     Ok(format!(
-        "{} policies x {} jobs byte-identical to the oracle and the golden",
-        4,
+        "{} policies x {} jobs byte-identical to the golden",
+        SMOKE_CASES.len(),
         SMOKE_DAYS * SMOKE_JOBS_PER_DAY
+    ))
+}
+
+/// Jobs of the Fugaku-scale golden replay (one day, seed 1).
+const FUGAKU_DAY_JOBS: usize = 4_000;
+
+/// The Fugaku-scale table: a one-day, 4,000-job replay on the full
+/// 158,976-node machine under every policy, backfill on and off. At this
+/// scale fragmented allocations span thousands of id runs, which the
+/// 192-node smoke never reaches. Seconds in an optimized build, most of
+/// them the random policy's machine-wide shuffles.
+fn fugaku_day_table() -> String {
+    let mut out = String::from(STATS_HEADER);
+    for policy in [
+        AllocationPolicy::BestFitContiguous,
+        AllocationPolicy::FirstFit,
+        AllocationPolicy::Random,
+    ] {
+        for backfill in [true, false] {
+            let config = ReplayConfig {
+                machine: "fugaku".into(),
+                days: 1,
+                jobs_per_day: FUGAKU_DAY_JOBS,
+                policy,
+                seed: 1,
+                backfill,
+            };
+            out.push_str(&stats_row(policy, backfill, &run_replay(&config).stats));
+        }
+    }
+    out
+}
+
+/// Replay one day of 4,000 jobs on the full 158,976-node machine under
+/// every policy, backfill on and off, and compare the stats with
+/// `tests/golden/sched/fugaku_day.csv` (`UPDATE_GOLDEN=1` rewrites it).
+///
+/// # Errors
+/// Returns a description of any divergence or I/O failure.
+pub fn fugaku_day_smoke() -> Result<String, String> {
+    if check_golden("fugaku_day.csv", &fugaku_day_table())? {
+        return Ok("updated fugaku_day.csv".into());
+    }
+    Ok(format!(
+        "6 full-Fugaku replays x {FUGAKU_DAY_JOBS} jobs byte-identical to the golden"
     ))
 }
 
@@ -360,9 +411,9 @@ mod tests {
     }
 
     #[test]
-    fn smoke_table_is_oracle_clean_and_deterministic() {
-        let a = smoke_table().expect("oracle agrees");
-        let b = smoke_table().expect("oracle agrees");
+    fn smoke_table_is_deterministic() {
+        let a = smoke_table();
+        let b = smoke_table();
         assert_eq!(a, b, "smoke stats are run-to-run deterministic");
         assert_eq!(a.lines().count(), 5, "header + 4 cases");
         assert!(a.contains("best-fit,true"));

@@ -38,7 +38,7 @@
 //! differential oracle (see `tests/folded_table.rs`).
 
 use crate::tofu::{TofuD, DIMS};
-use crate::topology::{check_node, NodeId, Topology};
+use crate::topology::{check_node, id_runs, NodeId, NodeRuns, Topology};
 use rayon::prelude::*;
 
 /// Bits of each packed entry holding the hop count.
@@ -275,7 +275,25 @@ impl Topology for FoldedTable {
 }
 
 /// Closed-form mean pairwise hop distance of a node set on a TofuD torus —
-/// the per-dimension companion to the offset-class fold above.
+/// the per-dimension companion to the offset-class fold above. The set is
+/// given as sorted ids; they are grouped into runs on the fly and scored by
+/// [`runs_mean_hops`].
+///
+/// Returns `None` when the ids are not strictly ascending or fall outside
+/// the topology — callers fall back to the dense walk (which preserves the
+/// historical duplicate handling and out-of-range panics).
+pub fn set_mean_hops(topo: &TofuD, nodes: &[NodeId]) -> Option<f64> {
+    if nodes.len() < 2 {
+        return Some(0.0);
+    }
+    if nodes.windows(2).any(|w| w[1] <= w[0]) {
+        return None; // unsorted or duplicate ids: dense walk territory
+    }
+    fold_runs(topo, id_runs(nodes))
+}
+
+/// Closed-form mean pairwise hop distance of a node set given as id runs,
+/// at a cost of O(runs + Σ ext) with no allocation.
 ///
 /// Dimension-ordered routing makes `hops(a, b) = Σ_d dist_d(a_d, b_d)`, so
 /// the total over all unordered pairs separates per dimension:
@@ -285,115 +303,213 @@ impl Topology for FoldedTable {
 /// ```
 ///
 /// where `h_d` is the histogram of the set's coordinates along dimension
-/// `d` (same-coordinate pairs contribute zero and drop out). The histogram
-/// of a *consecutive-id run* `[s, s+k)` has a closed form per dimension —
-/// `#{ i < m : (i / stride_d) mod ext_d = x }` is piecewise linear in `m` —
-/// so a set of `r` maximal runs costs `O(r · Σ ext_d)` to histogram and
-/// `O(Σ ext_d²)` to combine, independent of the pair count. Hop totals
-/// accumulate exactly in `u64` (the dense walk's own accumulator width,
-/// with the same headroom: the total is bounded by `pairs · max hops`) and
-/// the final `total / pairs` division performs the same integer→`f64`
-/// conversions, so the result is bit-identical to
+/// `d`. The prefix count `F_d(m, x) = #{ i < m : coordinate_d(i) = x }` is
+/// a constant plus a step plus one partial bin, so a run `[s, e)` adds
+/// `F_d(e, ·) − F_d(s, ·)` to a difference array with two updates per
+/// endpoint and dimension (the constant is summed once per dimension),
+/// after one division-free digit decode of the endpoint
+/// (`EndpointDecoder`). The pair sum then takes one prefix-sum
+/// pass per dimension (`dim_pair_hops`). Everything accumulates exactly
+/// in `u64` (the dense walk's own accumulator width, with the same
+/// headroom: the total is bounded by `pairs · max hops`) and the final
+/// `total / pairs` division performs the same integer→`f64` conversions,
+/// so the result is bit-identical to
 /// [`mean_pairwise_hops_dense`](crate::placement::mean_pairwise_hops_dense).
 ///
-/// Returns `None` when the ids are not strictly ascending or fall outside
-/// the topology — callers fall back to the dense walk (which preserves the
-/// historical duplicate handling and out-of-range panics).
-pub fn set_mean_hops(topo: &TofuD, nodes: &[NodeId]) -> Option<f64> {
-    let k = nodes.len();
-    if k < 2 {
-        return Some(0.0);
+/// Returns `None` when a run ends past the topology or a dimension is
+/// wider than [`FOLD_MAX_EXTENT`]; callers fall back to the dense walk.
+pub fn runs_mean_hops(topo: &TofuD, runs: &NodeRuns) -> Option<f64> {
+    fold_runs(topo, runs.runs().iter().copied())
+}
+
+/// Widest dimension the closed-form fold handles in its fixed stack
+/// buffers (Fugaku's widest is 24); wider shapes take the dense walk.
+pub const FOLD_MAX_EXTENT: usize = 64;
+
+/// One difference-array or prefix buffer per dimension, on the stack.
+type DimBuf = [u64; FOLD_MAX_EXTENT + 1];
+
+fn fold_runs(topo: &TofuD, runs: impl Iterator<Item = (usize, usize)>) -> Option<f64> {
+    if topo.dims.iter().any(|&e| e > FOLD_MAX_EXTENT) {
+        return None;
     }
     let n = topo.nodes();
-    let mut stride = [0usize; DIMS];
-    let mut s = 1usize;
-    for d in (0..DIMS).rev() {
-        stride[d] = s;
-        s *= topo.dims[d];
-    }
-    // One flat histogram buffer for all six dimensions: a single
-    // allocation per call, scored a million+ times per replay.
-    let mut offsets = [0usize; DIMS + 1];
-    for d in 0..DIMS {
-        offsets[d + 1] = offsets[d] + topo.dims[d];
-    }
-    let mut hist = vec![0u64; offsets[DIMS]];
-    let mut i = 0;
-    while i < k {
-        let start = nodes[i].index();
-        let mut j = i + 1;
-        while j < k && nodes[j].index() == nodes[j - 1].index() + 1 {
-            j += 1;
-        }
-        if j < k && nodes[j].index() <= nodes[j - 1].index() {
-            return None; // unsorted or duplicate ids: dense walk territory
-        }
-        let end = nodes[j - 1].index() + 1;
+    let decoder = EndpointDecoder::new(topo);
+    let mut diff = [[0u64; FOLD_MAX_EXTENT + 1]; DIMS];
+    let mut cycles = [0u64; DIMS];
+    let mut k = 0u64;
+    for (start, end) in runs {
         if end > n {
             return None; // out of range: let the dense walk panic with context
         }
-        for d in 0..DIMS {
-            run_coord_counts(
-                topo.dims[d],
-                stride[d],
-                start,
-                end,
-                &mut hist[offsets[d]..offsets[d + 1]],
-            );
-        }
-        i = j;
+        debug_assert!(start < end, "empty run");
+        k += (end - start) as u64;
+        decoder.add_run(&mut diff, &mut cycles, start, end);
     }
-    let mut total: u64 = 0;
+    if k < 2 {
+        return Some(0.0);
+    }
     for d in 0..DIMS {
-        let e = topo.dims[d];
-        let h = &hist[offsets[d]..offsets[d + 1]];
-        for x in 0..e {
-            if h[x] == 0 {
-                continue;
-            }
-            for y in (x + 1)..e {
-                if h[y] == 0 {
-                    continue;
-                }
-                let span = y - x;
-                let dist = if topo.periodic[d] {
-                    span.min(e - span)
-                } else {
-                    span
-                };
-                total += h[x] * h[y] * dist as u64;
-            }
-        }
+        diff[d][0] = diff[d][0].wrapping_add(cycles[d] * decoder.stride[d]);
     }
-    let pairs = k as u64 * (k as u64 - 1) / 2;
+    let mut count = [0u64; FOLD_MAX_EXTENT + 1];
+    let mut weight = [0u64; FOLD_MAX_EXTENT + 1];
+    let total: u64 = (0..DIMS)
+        .map(|d| {
+            dim_pair_hops(
+                &diff[d],
+                topo.dims[d],
+                topo.periodic[d],
+                &mut count,
+                &mut weight,
+            )
+        })
+        .sum();
+    let pairs = k * (k - 1) / 2;
     Some(total as f64 / pairs as f64)
 }
 
-/// Add to `hist[x]` the number of ids `m ∈ [lo, hi)` whose coordinate in a
-/// dimension of extent `e` and stride `stride` equals `x`. The prefix count
-/// `f(m, x) = #{ i < m : (i / stride) mod e = x }` decomposes into whole
-/// `e·stride` cycles plus a partial cycle, giving an O(1) expression per
-/// coordinate value.
-fn run_coord_counts(e: usize, stride: usize, lo: usize, hi: usize, hist: &mut [u64]) {
-    // Whole `e·stride` cycles hit every coordinate `stride` times; the
-    // remainder is walked one coordinate segment at a time. A run shorter
-    // than the cycle touches only `len/stride + 2` coordinates, so short
-    // runs in outer (large-stride) dimensions cost O(1) instead of O(e) —
-    // the common case when scoring fragmented allocations.
-    let cycle = e * stride;
-    let cycles = (hi - lo) / cycle;
-    if cycles > 0 {
-        let per = (cycles * stride) as u64;
-        for slot in hist.iter_mut() {
-            *slot += per;
+/// `Σ_{x<y} h[x] · h[y] · dist(x, y)` along one dimension of extent `e`,
+/// with `h` the prefix sum of `diff`, in one O(e) pass. `count[j]` and
+/// `weight[j]` are the running prefixes `Σ_{x<j} h[x]` and
+/// `Σ_{x<j} x · h[x]`, so the pairs at distance `y − x` contribute
+/// `y · count − weight`. On a torus the pairs more than `⌊e/2⌋` apart go
+/// the other way round at distance `e − y + x`: that wrap-around term is
+/// the same two prefixes taken at `y − ⌊e/2⌋`. Every difference taken is
+/// non-negative, so the `u64` arithmetic is exact.
+fn dim_pair_hops(
+    diff: &DimBuf,
+    e: usize,
+    periodic: bool,
+    count: &mut DimBuf,
+    weight: &mut DimBuf,
+) -> u64 {
+    let reach = if periodic { e / 2 } else { e };
+    let mut h = 0u64;
+    let mut total = 0u64;
+    count[0] = 0;
+    weight[0] = 0;
+    for y in 0..e {
+        h = h.wrapping_add(diff[y]);
+        let (yu, lo) = (y as u64, y.saturating_sub(reach));
+        let near = yu * (count[y] - count[lo]) - (weight[y] - weight[lo]);
+        let wrapped = (e - y) as u64 * count[lo] + weight[lo];
+        total += h * (near + wrapped);
+        count[y + 1] = count[y] + h;
+        weight[y + 1] = weight[y] + yu * h;
+    }
+    total
+}
+
+/// Exact `m / d` for `m < 2³¹` by multiply and shift: `magic = ⌈2^s / d⌉`
+/// with `s = 31 + ⌈log₂ d⌉`. Writing `magic · d = 2^s + e` with `e < d`,
+/// `m · magic / 2^s` overshoots `m / d` by `m · e / (d · 2^s) < 2^−⌈log₂ d⌉
+/// ≤ 1/d`, while `m / d` sits at least `1/d` below the next integer, so
+/// the floor is exact; and `m · magic < 2⁶³` cannot overflow.
+#[derive(Debug, Clone, Copy)]
+struct Reciprocal {
+    magic: u64,
+    shift: u32,
+}
+
+impl Reciprocal {
+    fn new(d: usize) -> Self {
+        assert!(
+            (1..1 << 31).contains(&d),
+            "divisor {d} outside the 31-bit reciprocal range"
+        );
+        let shift = 31 + (usize::BITS - (d - 1).leading_zeros());
+        Self {
+            magic: (1u64 << shift).div_ceil(d as u64),
+            shift,
         }
     }
-    let mut m = lo + cycles * cycle;
-    while m < hi {
-        let q = m / stride;
-        let seg_end = ((q + 1) * stride).min(hi);
-        hist[q % e] += (seg_end - m) as u64;
-        m = seg_end;
+
+    #[inline]
+    fn div(self, m: u64) -> u64 {
+        (m * self.magic) >> self.shift
+    }
+}
+
+/// Division-free mixed-radix decode of run endpoints `m ∈ [0, n]` of one
+/// TofuD shape. With `S_d` the id stride of dimension `d` and `Q_d =
+/// m / S_d` (seven reciprocal multiplies, `Q_{−1} = m / n`), dimension `d`
+/// sees `m` as `Q_{d−1}` whole cycles of `E_d · S_d` ids, then digit
+/// `Q_d − E_d · Q_{d−1}`, then `m − Q_d · S_d` ids into that digit's block.
+#[derive(Debug, Clone)]
+struct EndpointDecoder {
+    extent: [u64; DIMS],
+    stride: [u64; DIMS],
+    by_stride: [Reciprocal; DIMS],
+    by_nodes: Reciprocal,
+}
+
+impl EndpointDecoder {
+    fn new(topo: &TofuD) -> Self {
+        let mut stride = [1u64; DIMS];
+        for d in (0..DIMS - 1).rev() {
+            stride[d] = stride[d + 1] * topo.dims[d + 1] as u64;
+        }
+        Self {
+            extent: topo.dims.map(|e| e as u64),
+            stride,
+            by_stride: stride.map(|s| Reciprocal::new(s as usize)),
+            by_nodes: Reciprocal::new(topo.nodes()),
+        }
+    }
+
+    /// Per dimension: (whole cycles, digit, offset within the digit's
+    /// block) of endpoint `m`.
+    #[inline]
+    fn decode(&self, m: usize) -> [(u64, usize, u64); DIMS] {
+        let m = m as u64;
+        let mut above = self.by_nodes.div(m);
+        let mut out = [(0, 0, 0); DIMS];
+        for (d, slot) in out.iter_mut().enumerate() {
+            let q = self.by_stride[d].div(m);
+            *slot = (
+                above,
+                (q - self.extent[d] * above) as usize,
+                m - q * self.stride[d],
+            );
+            above = q;
+        }
+        out
+    }
+
+    /// The coordinates of id `m` (all zeros for the end sentinel `m = n`).
+    #[cfg(test)]
+    fn coords(&self, m: usize) -> [usize; DIMS] {
+        self.decode(m).map(|(_, digit, _)| digit)
+    }
+
+    /// Add the histogram of the run `[start, end)` to every dimension's
+    /// difference array, as `F_d(end, ·) − F_d(start, ·)`. `F_d(m, ·)` is
+    /// `cycles · S` in every bin, a further `S` in the bins below the digit
+    /// and the partial `offset` in the digit's own bin. The every-bin term
+    /// is summed in `cycles[d]` (the `+S` of the two endpoints cancels) and
+    /// applied once by the caller; the other two take one update per
+    /// endpoint bin. Wrapping arithmetic keeps the transient negative
+    /// entries exact; the prefix sums come out non-negative.
+    #[inline]
+    fn add_run(
+        &self,
+        diff: &mut [DimBuf; DIMS],
+        cycles: &mut [u64; DIMS],
+        start: usize,
+        end: usize,
+    ) {
+        let (hi, lo) = (self.decode(end), self.decode(start));
+        for d in 0..DIMS {
+            let s = self.stride[d];
+            let bins = &mut diff[d];
+            let ((hi_cycles, hi_digit, hi_off), (lo_cycles, lo_digit, lo_off)) = (hi[d], lo[d]);
+            cycles[d] += hi_cycles - lo_cycles;
+            bins[hi_digit] = bins[hi_digit].wrapping_add(hi_off).wrapping_sub(s);
+            bins[hi_digit + 1] = bins[hi_digit + 1].wrapping_sub(hi_off);
+            bins[lo_digit] = bins[lo_digit].wrapping_sub(lo_off).wrapping_add(s);
+            bins[lo_digit + 1] = bins[lo_digit + 1].wrapping_add(lo_off);
+        }
     }
 }
 
@@ -504,6 +620,93 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn decoder_shapes() -> Vec<TofuD> {
+        vec![
+            TofuD::cte_arm(),
+            TofuD::with_dims(
+                [24, 23, 24, 2, 3, 2],
+                [true, true, true, false, true, false],
+            ),
+            TofuD::with_dims([5, 1, 3, 2, 3, 2], [true, true, true, false, true, false]),
+            TofuD::with_dims([1, 1, 1, 2, 3, 2], [true, true, true, false, true, false]),
+            TofuD::with_dims([3, 2, 2, 2, 3, 2], [true, false, true, false, true, false]),
+            TofuD::with_dims([1; DIMS], [false; DIMS]),
+        ]
+    }
+
+    #[test]
+    fn reciprocal_digit_decode_matches_div_and_mod_on_every_id() {
+        for t in decoder_shapes() {
+            let dec = EndpointDecoder::new(&t);
+            let n = t.nodes();
+            for id in 0..n {
+                assert_eq!(dec.coords(id), t.coords(NodeId(id)), "{:?} id {id}", t.dims);
+            }
+            // The end sentinel `n` is one whole outer cycle, every digit 0.
+            assert_eq!(dec.coords(n), [0; DIMS], "{:?} end sentinel", t.dims);
+            let mut stride = 1;
+            for d in (0..DIMS).rev() {
+                for m in [0, 1, n / 2, n - 1, n] {
+                    let (cycles, digit, offset) = dec.decode(m)[d];
+                    let cycle = t.dims[d] * stride;
+                    assert_eq!(cycles as usize, m / cycle, "{:?} m {m} d {d}", t.dims);
+                    assert_eq!(digit, (m / stride) % t.dims[d]);
+                    assert_eq!(offset as usize, m % stride);
+                }
+                stride *= t.dims[d];
+            }
+        }
+    }
+
+    #[test]
+    fn reciprocal_is_exact_across_the_31_bit_range() {
+        for d in [
+            1usize,
+            2,
+            3,
+            7,
+            12,
+            23,
+            24,
+            288,
+            6624,
+            158_976,
+            (1 << 31) - 1,
+        ] {
+            let r = Reciprocal::new(d);
+            for m in [
+                0u64,
+                1,
+                d as u64 - 1,
+                d as u64,
+                d as u64 + 1,
+                1 << 20,
+                (1 << 31) - 1,
+            ] {
+                assert_eq!(r.div(m), m / d as u64, "{m} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn run_form_matches_the_id_form() {
+        let t = TofuD::cte_arm();
+        let mut runs = NodeRuns::new();
+        for (s, e) in [(0, 5), (11, 12), (40, 97), (150, 192)] {
+            runs.push(s, e);
+        }
+        let ids = runs.to_vec();
+        assert_eq!(
+            runs_mean_hops(&t, &runs).map(f64::to_bits),
+            set_mean_hops(&t, &ids).map(f64::to_bits)
+        );
+        let mut outside = NodeRuns::new();
+        outside.push(190, 193);
+        assert!(runs_mean_hops(&t, &outside).is_none(), "out of range");
+        let wide = TofuD::with_dims([FOLD_MAX_EXTENT + 1, 1, 1, 1, 1, 1], [true; DIMS]);
+        assert!(runs_mean_hops(&wide, &runs).is_none(), "too wide to fold");
     }
 
     #[test]

@@ -53,4 +53,4 @@ pub use link::LinkModel;
 pub use network::{Degradation, Network, PathCost};
 pub use table::{PairTable, RoutingTable};
 pub use tofu::TofuD;
-pub use topology::{NodeId, Topology};
+pub use topology::{NodeId, NodeRuns, Topology};

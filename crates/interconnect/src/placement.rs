@@ -6,7 +6,7 @@
 //! random allocator exists for the ablation study quantifying what
 //! topology-awareness buys.
 
-use crate::topology::{NodeId, Topology};
+use crate::topology::{NodeId, NodeRuns, Topology};
 use rayon::prelude::*;
 use simkit::rng::Pcg32;
 
@@ -62,6 +62,17 @@ pub fn mean_pairwise_hops<T: Topology + Sync>(topo: &T, nodes: &[NodeId]) -> f64
         return mean;
     }
     mean_pairwise_hops_dense(topo, nodes)
+}
+
+/// [`mean_pairwise_hops`] for a set given as id runs: topologies with a
+/// run-form closed form ([`Topology::runs_mean_hops`], TofuD) score the
+/// run endpoints alone; everything else expands the runs for the dense
+/// walk. Bit-identical to `mean_pairwise_hops` on the same ids.
+pub fn runs_mean_pairwise_hops<T: Topology + Sync>(topo: &T, runs: &NodeRuns) -> f64 {
+    if let Some(mean) = topo.runs_mean_hops(runs) {
+        return mean;
+    }
+    mean_pairwise_hops_dense(topo, &runs.to_vec())
 }
 
 /// The dense all-pairs walk behind [`mean_pairwise_hops`] — the

@@ -9,7 +9,7 @@
 //!
 //! CTE-Arm's 192 nodes map onto `(X, Y, Z) = (4, 2, 2)` units of 12.
 
-use crate::topology::{check_node, NodeId, Topology};
+use crate::topology::{check_node, NodeId, NodeRuns, Topology};
 
 /// Number of dimensions in a Tofu coordinate.
 pub const DIMS: usize = 6;
@@ -155,6 +155,12 @@ impl Topology for TofuD {
     /// set without enumerating pairs (see [`crate::folded::set_mean_hops`]).
     fn set_mean_hops(&self, nodes: &[NodeId]) -> Option<f64> {
         crate::folded::set_mean_hops(self, nodes)
+    }
+
+    /// The same fold, scored straight from the run endpoints (see
+    /// [`crate::folded::runs_mean_hops`]).
+    fn runs_mean_hops(&self, runs: &NodeRuns) -> Option<f64> {
+        crate::folded::runs_mean_hops(self, runs)
     }
 
     /// Torus translation symmetry folds the pair table to one entry per

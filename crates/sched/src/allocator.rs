@@ -4,17 +4,23 @@
 //! **run index**: boundary-tag arrays record each maximal eligible-id
 //! run's length at its first and last id (malloc-style, so coalescing on
 //! release is O(1) per stretch), an eligibility bitmap gives first-fit its
-//! id-order walk one 64-id word at a time, and a `(len, start)` set lets
-//! `BestFitContiguous` find the smallest fitting run in O(log n) instead
-//! of rescanning the id space. Free/failed populations are incremental
-//! counters (debug-asserted against the scan), so a full-Fugaku
-//! allocate/release cycle costs O(log n) where the original scan paid
-//! O(n). That original scan-based allocator is retained verbatim as
-//! [`crate::allocator_oracle::OracleAllocator`]; differential tests pin
-//! the two to *identical node picks* on every policy.
+//! id-order walk one 64-id word at a time, and a `(len, start)` index
+//! (`RunsByLen`) lets `BestFitContiguous` find the smallest fitting run
+//! without rescanning the id space. Free/failed populations are incremental
+//! counters (debug-asserted against the scan).
+//!
+//! Allocations travel as [`NodeRuns`] — the `[start, end)` id runs they
+//! are carved from — so allocate, release and compactness cost O(runs
+//! touched) per job rather than O(nodes): each run is one slice fill, a
+//! few word-wide bitmap masks and one index update or coalesce, and
+//! compactness is scored from the run endpoints alone. The `Vec<NodeId>`
+//! methods remain as thin adapters over that core. The original
+//! scan-based allocator lives on as the differential oracle of the
+//! integration tests, which pin the two to *identical node picks* on
+//! every policy.
 
-use interconnect::placement::mean_pairwise_hops;
-use interconnect::topology::{NodeId, Topology};
+use interconnect::placement::{mean_pairwise_hops, runs_mean_pairwise_hops};
+use interconnect::topology::{id_runs, NodeId, NodeRuns, Topology};
 use simkit::rng::Pcg32;
 use std::collections::BTreeSet;
 
@@ -31,10 +37,10 @@ pub enum AllocationPolicy {
     Random,
 }
 
-/// The allocator surface the [`crate::Scheduler`] drives — implemented by
-/// the run-indexed [`Allocator`] and by the retained scan-based
-/// [`crate::allocator_oracle::OracleAllocator`], so differential tests can
-/// replay one workload through both and demand identical picks and stats.
+/// The allocator surface the [`crate::Scheduler`] drives. Implemented by
+/// the run-indexed [`Allocator`] and by the scan-based oracle of the
+/// integration tests, so differential tests can replay one workload
+/// through both and demand identical picks and stats.
 pub trait NodePool {
     /// The topology nodes are drawn from.
     type Topo: Topology;
@@ -53,13 +59,13 @@ pub trait NodePool {
     fn fail_node(&mut self, node: NodeId) -> bool;
 
     /// Try to allocate `count` nodes; `None` if not enough are eligible.
-    fn allocate(&mut self, count: usize) -> Option<Vec<NodeId>>;
+    fn allocate(&mut self, count: usize) -> Option<NodeRuns>;
 
     /// Return an allocation's nodes to the free pool.
-    fn release(&mut self, nodes: &[NodeId]);
+    fn release(&mut self, nodes: &NodeRuns);
 
     /// Compactness of an allocation: mean pairwise hop distance.
-    fn compactness(&self, nodes: &[NodeId]) -> f64;
+    fn compactness(&self, nodes: &NodeRuns) -> f64;
 }
 
 /// Tracks node occupancy and hands out allocations.
@@ -77,6 +83,9 @@ pub struct Allocator<T: Topology> {
     /// word, and locates the run containing an interior id without a
     /// search tree.
     words: Vec<u64>,
+    /// Bit `w` set ⟺ `words[w] != 0`: lets first-fit hop over fully
+    /// allocated stretches 4096 ids per summary word.
+    nonzero: Vec<u64>,
     /// Boundary tag: `len_at_start[s]` is the length of the maximal
     /// eligible run starting at `s`, 0 when `s` starts no run.
     len_at_start: Vec<u32>,
@@ -87,11 +96,14 @@ pub struct Allocator<T: Topology> {
     /// The runs keyed `(len, start)`: best-fit takes the first entry
     /// at or above the request, so ties on length resolve to the lowest
     /// start — exactly the oracle's left-to-right scan order.
-    by_len: BTreeSet<(usize, usize)>,
+    by_len: RunsByLen,
     /// Incremental |eligible|, kept in lock-step by allocate/release/fail.
     eligible_count: usize,
     /// Incremental |not failed|.
     alive: usize,
+    /// The random policy's eligible-id list, kept between calls so each
+    /// draw reuses one buffer instead of allocating a machine-sized one.
+    shuffle_buf: Vec<usize>,
 }
 
 impl<T: Topology> Allocator<T> {
@@ -102,6 +114,10 @@ impl<T: Topology> Allocator<T> {
         if !n.is_multiple_of(64) {
             *words.last_mut().expect("n >= 1") = (1u64 << (n % 64)) - 1;
         }
+        let mut nonzero = vec![!0u64; words.len().div_ceil(64)];
+        if !words.len().is_multiple_of(64) {
+            *nonzero.last_mut().expect("n >= 1") = (1u64 << (words.len() % 64)) - 1;
+        }
         let mut a = Self {
             topo,
             free: vec![true; n],
@@ -109,52 +125,73 @@ impl<T: Topology> Allocator<T> {
             policy,
             rng: Pcg32::seeded(seed),
             words,
+            nonzero,
             len_at_start: vec![0; n],
             len_at_end: vec![0; n],
-            by_len: BTreeSet::new(),
+            by_len: RunsByLen::new(n),
             eligible_count: n,
             alive: n,
+            shuffle_buf: Vec::new(),
         };
         a.insert_run(0, n);
         a
     }
 
-    fn clear_bit(&mut self, i: usize) {
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    /// Set every bit of `[start, end)` with word-wide masks.
-    fn set_bits(&mut self, start: usize, end: usize) {
+    /// Apply `f(word, mask)` to every bitmap word `[start, end)` covers,
+    /// with `mask` selecting the covered bits of that word, and refresh
+    /// those words' summary bits.
+    fn for_masks(&mut self, start: usize, end: usize, f: impl Fn(&mut u64, u64)) {
         let (ws, we) = (start / 64, (end - 1) / 64);
         let lo = !0u64 << (start % 64);
         let hi = !0u64 >> (63 - (end - 1) % 64);
         if ws == we {
-            self.words[ws] |= lo & hi;
+            f(&mut self.words[ws], lo & hi);
         } else {
-            self.words[ws] |= lo;
+            f(&mut self.words[ws], lo);
             for w in &mut self.words[ws + 1..we] {
-                *w = !0;
+                f(w, !0);
             }
-            self.words[we] |= hi;
+            f(&mut self.words[we], hi);
         }
+        for w in ws..=we {
+            let bit = 1u64 << (w % 64);
+            if self.words[w] != 0 {
+                self.nonzero[w / 64] |= bit;
+            } else {
+                self.nonzero[w / 64] &= !bit;
+            }
+        }
+    }
+
+    /// Set every bit of `[start, end)` with word-wide masks.
+    fn set_bits(&mut self, start: usize, end: usize) {
+        self.for_masks(start, end, |w, m| *w |= m);
+    }
+
+    /// Clear every bit of `[start, end)` with word-wide masks.
+    fn clear_bits(&mut self, start: usize, end: usize) {
+        self.for_masks(start, end, |w, m| *w &= !m);
     }
 
     /// First set bit at or after `from`, which by the run invariant is
     /// always a run *start* when `from` sits at or past the previous run's
-    /// end. `None` when no eligible id remains.
+    /// end. `None` when no eligible id remains. Zero words are skipped 64
+    /// at a time through the summary.
     fn next_run_start(&self, from: usize) -> Option<usize> {
-        let mut w = from / 64;
-        if w >= self.words.len() {
-            return None;
+        let w = from / 64;
+        let word = self.words.get(w)? & (!0u64 << (from % 64));
+        if word != 0 {
+            return Some(w * 64 + word.trailing_zeros() as usize);
         }
-        let mut word = self.words[w] & (!0u64 << (from % 64));
-        loop {
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-            w += 1;
-            word = *self.words.get(w)?;
+        let next = w + 1;
+        let mut v = next / 64;
+        let mut sum = self.nonzero.get(v)? & (!0u64 << (next % 64));
+        while sum == 0 {
+            v += 1;
+            sum = *self.nonzero.get(v)?;
         }
+        let w = v * 64 + sum.trailing_zeros() as usize;
+        Some(w * 64 + self.words[w].trailing_zeros() as usize)
     }
 
     /// Start of the run containing eligible id `i`: one past the nearest
@@ -200,7 +237,7 @@ impl<T: Topology> Allocator<T> {
             self.failed[i] = true;
             self.alive -= 1;
             if self.free[i] {
-                self.split_out_of_runs(i);
+                self.carve_containing(i, i + 1);
                 self.eligible_count -= 1;
             }
         }
@@ -233,8 +270,10 @@ impl<T: Topology> Allocator<T> {
         Err("the scheduler does not allow allocating specific nodes")
     }
 
-    /// Try to allocate `count` nodes; `None` if not enough are free.
-    pub fn allocate(&mut self, count: usize) -> Option<Vec<NodeId>> {
+    /// Try to allocate `count` nodes as id runs; `None` if not enough are
+    /// free. Each picked run costs one index update, a word-masked bitmap
+    /// clear and one slice fill.
+    pub fn allocate_runs(&mut self, count: usize) -> Option<NodeRuns> {
         assert!(count >= 1, "zero-node allocation");
         if self.free_count() < count {
             return None;
@@ -244,52 +283,74 @@ impl<T: Topology> Allocator<T> {
             AllocationPolicy::FirstFit => self.first_fit(count),
             AllocationPolicy::Random => self.random_fit(count),
         };
-        for n in &picked {
-            debug_assert!(self.free[n.index()], "double allocation");
-            self.free[n.index()] = false;
-            self.clear_bit(n.index());
+        for &(start, end) in picked.runs() {
+            let run = &mut self.free[start..end];
+            debug_assert!(run.iter().all(|&f| f), "double allocation");
+            run.fill(false);
         }
-        self.eligible_count -= picked.len();
+        self.eligible_count -= count;
         Some(picked)
     }
 
-    /// Return an allocation's nodes to the free pool.
-    pub fn release(&mut self, nodes: &[NodeId]) {
-        // Allocations are runs of consecutive ids (or unions of them), so
-        // releasing node-by-node would churn the run index with one
-        // remove/insert pair per node — the dominant cost of million-job
-        // replays. Instead each maximal stretch of consecutive non-failed
-        // ids re-enters the index as a single coalesced insertion; the
-        // resulting runs are identical because the interior of a stretch
-        // cannot border any existing run (those ids were allocated).
-        let mut k = 0;
-        while k < nodes.len() {
-            let i = nodes[k].index();
-            assert!(!self.free[i], "releasing a free node");
-            self.free[i] = true;
-            k += 1;
-            if self.failed[i] {
-                continue;
-            }
-            let start = i;
-            let mut end = i + 1;
-            while k < nodes.len() && nodes[k].index() == end && !self.failed[end] {
-                assert!(!self.free[end], "releasing a free node");
-                self.free[end] = true;
-                end += 1;
-                k += 1;
-            }
-            self.set_bits(start, end);
-            self.coalesce_stretch(start, end);
-            self.eligible_count += end - start;
+    /// Return an allocation's runs to the free pool: per run one occupancy
+    /// check and slice fill, a word-masked bitmap set and one coalesce.
+    pub fn release_runs(&mut self, nodes: &NodeRuns) {
+        for &(start, end) in nodes.runs() {
+            self.release_run(start, end);
         }
+    }
+
+    /// Try to allocate `count` nodes; `None` if not enough are free. The
+    /// node-list form of [`Allocator::allocate_runs`].
+    pub fn allocate(&mut self, count: usize) -> Option<Vec<NodeId>> {
+        self.allocate_runs(count).map(|runs| runs.to_vec())
+    }
+
+    /// Return an allocation's nodes to the free pool. The node-list form
+    /// of [`Allocator::release_runs`]: each maximal stretch of consecutive
+    /// ascending ids is released as one run.
+    pub fn release(&mut self, nodes: &[NodeId]) {
+        for (start, end) in id_runs(nodes) {
+            self.release_run(start, end);
+        }
+    }
+
+    /// Free `[start, end)`. Ids that failed while allocated stay out of the
+    /// index; every stretch between them re-enters as one coalesced run —
+    /// the same runs a node-by-node release would leave, because the
+    /// interior of a released stretch cannot border an existing run.
+    fn release_run(&mut self, start: usize, end: usize) {
+        let run = &mut self.free[start..end];
+        assert!(!run.contains(&true), "releasing a free node");
+        run.fill(true);
+        if self.alive == self.failed.len() {
+            self.make_eligible(start, end);
+            return;
+        }
+        let mut s = start;
+        while s < end {
+            let e = self.failed[s..end]
+                .iter()
+                .position(|&f| f)
+                .map_or(end, |p| s + p);
+            if e > s {
+                self.make_eligible(s, e);
+            }
+            s = e + 1;
+        }
+    }
+
+    fn make_eligible(&mut self, start: usize, end: usize) {
+        self.set_bits(start, end);
+        self.coalesce_stretch(start, end);
+        self.eligible_count += end - start;
     }
 
     /// First eligible ids in ascending order, consumed off the front of
     /// each run. Walks run starts through the bitmap, so each consumed run
     /// costs one word-scan hop plus its index updates.
-    fn first_fit(&mut self, count: usize) -> Vec<NodeId> {
-        let mut picked = Vec::with_capacity(count);
+    fn first_fit(&mut self, count: usize) -> NodeRuns {
+        let mut picked = NodeRuns::new();
         let mut need = count;
         let mut cursor = 0usize;
         while need > 0 {
@@ -299,9 +360,8 @@ impl<T: Topology> Allocator<T> {
             let len = self.len_at_start[start] as usize;
             debug_assert!(len > 0, "bitmap walk landed off a run boundary");
             let take = need.min(len);
-            picked.extend((start..start + take).map(NodeId));
-            self.remove_run(start, len);
-            self.insert_run(start + take, len - take);
+            self.carve(start, len, start, start + take);
+            picked.push(start, start + take);
             need -= take;
             cursor = start + len;
         }
@@ -309,22 +369,25 @@ impl<T: Topology> Allocator<T> {
     }
 
     /// Smallest free *run* of consecutive ids that fits; falls back to
-    /// first-fit when no single run is large enough. O(log n) via the
-    /// `(len, start)` index.
-    fn best_fit(&mut self, count: usize) -> Vec<NodeId> {
-        let Some(&(len, start)) = self.by_len.range((count, 0)..).next() else {
+    /// first-fit when no single run is large enough. One `(len, start)`
+    /// index query.
+    fn best_fit(&mut self, count: usize) -> NodeRuns {
+        let Some((len, start)) = self.by_len.first_at_least(count) else {
             return self.first_fit(count);
         };
-        self.remove_run(start, len);
-        self.insert_run(start + count, len - count);
-        (start..start + count).map(NodeId).collect()
+        self.carve(start, len, start, start + count);
+        let mut picked = NodeRuns::new();
+        picked.push(start, start + count);
+        picked
     }
 
     /// Uniformly random eligible nodes. Materializes the same ascending
     /// eligible list and runs the same Fisher–Yates draws as the oracle,
-    /// so both the picks and the RNG stream stay stream-identical.
-    fn random_fit(&mut self, count: usize) -> Vec<NodeId> {
-        let mut free: Vec<usize> = Vec::with_capacity(self.eligible_count);
+    /// so both the picks and the RNG stream stay stream-identical; the
+    /// sorted picks then leave the index one consecutive stretch at a time.
+    fn random_fit(&mut self, count: usize) -> NodeRuns {
+        let mut free = std::mem::take(&mut self.shuffle_buf);
+        free.clear();
         for (w, &word) in self.words.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
@@ -333,12 +396,27 @@ impl<T: Topology> Allocator<T> {
             }
         }
         self.rng.shuffle(&mut free);
-        let mut picked: Vec<usize> = free.into_iter().take(count).collect();
-        picked.sort_unstable();
-        for &i in &picked {
-            self.split_out_of_runs(i);
+        free.truncate(count);
+        free.sort_unstable();
+        let mut picked = NodeRuns::new();
+        for &i in &free {
+            picked.push(i, i + 1);
         }
-        picked.into_iter().map(NodeId).collect()
+        self.shuffle_buf = free;
+        for &(start, end) in picked.runs() {
+            self.carve_containing(start, end);
+        }
+        picked
+    }
+
+    /// Compactness of an allocation given as runs: mean pairwise hop
+    /// distance, scored from the run endpoints where the topology has a
+    /// closed form (TofuD) and by the dense walk otherwise.
+    pub fn runs_compactness(&self, nodes: &NodeRuns) -> f64
+    where
+        T: Sync,
+    {
+        runs_mean_pairwise_hops(&self.topo, nodes)
     }
 
     /// Compactness of an allocation: mean pairwise hop distance.
@@ -358,7 +436,7 @@ impl<T: Topology> Allocator<T> {
         if self.eligible_count == 0 {
             return 0.0;
         }
-        let largest = self.by_len.iter().next_back().map_or(0, |&(len, _)| len);
+        let largest = self.by_len.largest().unwrap_or(0);
         1.0 - largest as f64 / self.eligible_count as f64
     }
 
@@ -370,7 +448,7 @@ impl<T: Topology> Allocator<T> {
         debug_assert_eq!(self.len_at_end[start + len - 1], 0, "overlapping runs");
         self.len_at_start[start] = len as u32;
         self.len_at_end[start + len - 1] = len as u32;
-        self.by_len.insert((len, start));
+        self.by_len.insert(len, start);
     }
 
     fn remove_run(&mut self, start: usize, len: usize) {
@@ -380,21 +458,32 @@ impl<T: Topology> Allocator<T> {
         );
         self.len_at_start[start] = 0;
         self.len_at_end[start + len - 1] = 0;
-        let was_present = self.by_len.remove(&(len, start));
+        let was_present = self.by_len.remove(len, start);
         debug_assert!(was_present, "length index out of sync");
     }
 
-    /// Remove a single (eligible) node from the run containing it,
-    /// splitting the run in two. Clears the node's bitmap bit, so repeated
-    /// splits (the random policy, failure drains) stay consistent.
-    fn split_out_of_runs(&mut self, i: usize) {
-        let start = self.run_start_containing(i);
-        let len = self.len_at_start[start] as usize;
-        debug_assert!(len > 0 && i < start + len, "node missing from its run");
+    /// Take `[a, b)` out of the eligible run `[start, start + len)` that
+    /// contains it, leaving the pieces on either side as runs, and clear
+    /// its bitmap bits. O(log n) index updates plus O(len/64) masks.
+    fn carve(&mut self, start: usize, len: usize, a: usize, b: usize) {
+        debug_assert!(
+            start <= a && a < b && b <= start + len,
+            "carve outside its run"
+        );
         self.remove_run(start, len);
-        self.insert_run(start, i - start);
-        self.insert_run(i + 1, start + len - i - 1);
-        self.clear_bit(i);
+        self.insert_run(start, a - start);
+        self.insert_run(b, start + len - b);
+        self.clear_bits(a, b);
+    }
+
+    /// [`Allocator::carve`] for an eligible stretch `[a, b)` whose run is
+    /// located through the bitmap. Repeated carves (the random policy,
+    /// failure drains) stay consistent because each clears its own bits.
+    fn carve_containing(&mut self, a: usize, b: usize) {
+        let start = self.run_start_containing(a);
+        let len = self.len_at_start[start] as usize;
+        debug_assert!(len > 0 && b <= start + len, "stretch missing from its run");
+        self.carve(start, len, a, b);
     }
 
     /// Add the stretch `[start, end)` back, coalescing with the runs
@@ -420,6 +509,126 @@ impl<T: Topology> Allocator<T> {
     }
 }
 
+/// Runs of up to this many ids are indexed by bitmaps, longer ones by an
+/// ordered set. In a fragmented full-Fugaku pool over nine in ten run
+/// insertions and removals are below it.
+const SHORT_RUN: usize = 64;
+
+/// The free runs keyed `(len, start)`, answering best-fit's query: the
+/// shortest run of at least `count` ids, lowest start among equals. Each
+/// short length owns a start bitmap with a one-bit-per-word summary, so
+/// inserting or removing a short run flips two bits at most and the
+/// lowest start of a length is two `trailing_zeros` away after a summary
+/// scan of `n / 4096` words. Long runs keep the `BTreeSet` with its
+/// O(log R) updates. Every short length sorts below every long one, so
+/// the combined order is exactly the single set's `(len, start)` order.
+struct RunsByLen {
+    /// Bitmap words per short length (`n / 64`, rounded up).
+    words: usize,
+    /// Summary words per short length (`words / 64`, rounded up).
+    summary_words: usize,
+    /// `starts[(len − 1) · words + w]` bit `b`: a run of `len` ids starts at
+    /// `64 · w + b`.
+    starts: Vec<u64>,
+    /// `summary[(len − 1) · summary_words + v]` bit `b`: the starts word
+    /// `64 · v + b` of `len` is non-zero.
+    summary: Vec<u64>,
+    /// Runs per short length.
+    count: [u32; SHORT_RUN],
+    /// Bit `len − 1` set ⟺ some run of `len` ids exists.
+    present: u64,
+    /// Runs longer than [`SHORT_RUN`].
+    long: BTreeSet<(usize, usize)>,
+}
+
+impl RunsByLen {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        let summary_words = words.div_ceil(64);
+        Self {
+            words,
+            summary_words,
+            starts: vec![0; SHORT_RUN * words],
+            summary: vec![0; SHORT_RUN * summary_words],
+            count: [0; SHORT_RUN],
+            present: 0,
+            long: BTreeSet::new(),
+        }
+    }
+
+    fn insert(&mut self, len: usize, start: usize) {
+        if len > SHORT_RUN {
+            self.long.insert((len, start));
+            return;
+        }
+        let w = (len - 1) * self.words + start / 64;
+        self.starts[w] |= 1 << (start % 64);
+        let v = (len - 1) * self.summary_words + start / 4096;
+        self.summary[v] |= 1 << (start / 64 % 64);
+        self.count[len - 1] += 1;
+        self.present |= 1 << (len - 1);
+    }
+
+    /// Remove a run; `false` when it was not indexed.
+    fn remove(&mut self, len: usize, start: usize) -> bool {
+        if len > SHORT_RUN {
+            return self.long.remove(&(len, start));
+        }
+        let w = (len - 1) * self.words + start / 64;
+        let bit = 1 << (start % 64);
+        if self.starts[w] & bit == 0 {
+            return false;
+        }
+        self.starts[w] &= !bit;
+        if self.starts[w] == 0 {
+            let v = (len - 1) * self.summary_words + start / 4096;
+            self.summary[v] &= !(1 << (start / 64 % 64));
+        }
+        self.count[len - 1] -= 1;
+        if self.count[len - 1] == 0 {
+            self.present &= !(1 << (len - 1));
+        }
+        true
+    }
+
+    /// The first `(len, start)` with `len ≥ count`.
+    fn first_at_least(&self, count: usize) -> Option<(usize, usize)> {
+        if count <= SHORT_RUN {
+            let fitting = self.present & (!0u64 << (count - 1));
+            if fitting != 0 {
+                let len = fitting.trailing_zeros() as usize + 1;
+                return Some((len, self.lowest_start(len)));
+            }
+        }
+        self.long
+            .range((count.max(SHORT_RUN + 1), 0)..)
+            .next()
+            .copied()
+    }
+
+    /// Lowest start among the runs of short length `len` (which exist).
+    fn lowest_start(&self, len: usize) -> usize {
+        let base = (len - 1) * self.summary_words;
+        let (v, sum) = self.summary[base..base + self.summary_words]
+            .iter()
+            .enumerate()
+            .find(|&(_, &sum)| sum != 0)
+            .expect("a present length has a start");
+        let w = v * 64 + sum.trailing_zeros() as usize;
+        let word = self.starts[(len - 1) * self.words + w];
+        w * 64 + word.trailing_zeros() as usize
+    }
+
+    /// Length of the longest run, if any.
+    fn largest(&self) -> Option<usize> {
+        match self.long.last() {
+            Some(&(len, _)) => Some(len),
+            None if self.present != 0 => Some(64 - self.present.leading_zeros() as usize),
+            None => None,
+        }
+    }
+}
+
 impl<T: Topology + Sync> NodePool for Allocator<T> {
     type Topo = T;
 
@@ -439,16 +648,16 @@ impl<T: Topology + Sync> NodePool for Allocator<T> {
         Allocator::fail_node(self, node)
     }
 
-    fn allocate(&mut self, count: usize) -> Option<Vec<NodeId>> {
-        Allocator::allocate(self, count)
+    fn allocate(&mut self, count: usize) -> Option<NodeRuns> {
+        Allocator::allocate_runs(self, count)
     }
 
-    fn release(&mut self, nodes: &[NodeId]) {
-        Allocator::release(self, nodes)
+    fn release(&mut self, nodes: &NodeRuns) {
+        Allocator::release_runs(self, nodes)
     }
 
-    fn compactness(&self, nodes: &[NodeId]) -> f64 {
-        Allocator::compactness(self, nodes)
+    fn compactness(&self, nodes: &NodeRuns) -> f64 {
+        Allocator::runs_compactness(self, nodes)
     }
 }
 
@@ -534,6 +743,49 @@ mod tests {
         assert_eq!(a.fragmentation(), 0.0, "one fused run");
         let got = a.allocate(30).unwrap();
         assert_eq!(got, (10..40).map(NodeId).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn first_fit_runs_hop_over_allocated_stretches() {
+        let mut a = alloc(AllocationPolicy::FirstFit);
+        let all = a.allocate_runs(192).expect("fits");
+        assert_eq!(all.runs(), &[(0, 192)]);
+        let mut holes = NodeRuns::new();
+        for (s, e) in [(3, 5), (70, 75), (150, 190)] {
+            holes.push(s, e);
+        }
+        a.release_runs(&holes);
+        let got = a.allocate_runs(10).expect("fits");
+        assert_eq!(got.runs(), &[(3, 5), (70, 75), (150, 153)]);
+        assert_eq!(a.compactness(&got.to_vec()), a.runs_compactness(&got));
+        assert_eq!(a.free_count(), 37);
+        a.release_runs(&got);
+        a.release_runs(&{
+            let mut rest = NodeRuns::new();
+            for (s, e) in [(0, 3), (5, 70), (75, 150), (190, 192)] {
+                rest.push(s, e);
+            }
+            rest
+        });
+        assert_eq!(a.free_count(), 192);
+        assert_eq!(a.fragmentation(), 0.0, "everything coalesced");
+    }
+
+    #[test]
+    fn best_fit_orders_short_runs_below_long_ones() {
+        // A 65-id hole (indexed as a long run) and a 64-id hole (the
+        // longest short run): requests up to 64 take the short hole, 65
+        // takes the long one.
+        let mut a = alloc(AllocationPolicy::BestFitContiguous);
+        let all = a.allocate(192).unwrap();
+        a.release(&all[0..65]);
+        a.release(&all[100..164]);
+        assert_eq!(a.fragmentation(), 1.0 - 65.0 / 129.0);
+        assert_eq!(a.allocate_runs(60).unwrap().runs(), &[(100, 160)]);
+        assert_eq!(a.allocate_runs(65).unwrap().runs(), &[(0, 65)]);
+        assert_eq!(a.allocate_runs(4).unwrap().runs(), &[(160, 164)]);
+        assert_eq!(a.free_count(), 0);
+        assert_eq!(a.fragmentation(), 0.0);
     }
 
     #[test]

@@ -26,11 +26,10 @@
 #![warn(missing_docs)]
 
 pub mod allocator;
-pub mod allocator_oracle;
 pub mod queue;
 pub mod workload;
 
 pub use allocator::{AllocationPolicy, Allocator, NodePool};
-pub use allocator_oracle::OracleAllocator;
+pub use interconnect::topology::NodeRuns;
 pub use queue::{JobRequest, JobState, NodeFailure, Scheduler, SchedulerStats};
 pub use workload::{ReplaySpec, WorkloadSpec};

@@ -8,9 +8,16 @@
 //! at million-job replay scale the old scan was quadratic in the queue
 //! depth. Dispatch order, billing order, and event order are unchanged, so
 //! results are byte-identical to the historical implementation.
+//!
+//! Submissions are streamed rather than queued: the sorted request vector
+//! already *is* the submit order, so the event queue holds only `Finish`
+//! and `Fail` events and each step takes whichever of the next submission
+//! and the next queued event comes first. At equal instants the submission
+//! wins, as its lower sequence number made it win when every submission
+//! was pre-scheduled into the queue.
 
 use crate::allocator::NodePool;
-use interconnect::topology::{NodeId, Topology};
+use interconnect::topology::{NodeId, NodeRuns, Topology};
 use simkit::event::EventQueue;
 use simkit::units::Time;
 
@@ -47,9 +54,9 @@ pub struct JobState {
     pub start: Option<Time>,
     /// End time, once finished.
     pub end: Option<Time>,
-    /// The allocation, while running/after completion (cleared at finish
-    /// when [`Scheduler::retain_allocations`] is disabled).
-    pub allocation: Vec<NodeId>,
+    /// The allocation as id runs, while running/after completion (cleared
+    /// at finish when [`Scheduler::retain_allocations`] is disabled).
+    pub allocation: NodeRuns,
     /// Mean pairwise hops of the allocation (compactness at start).
     pub compactness: f64,
     /// How many times a node failure killed this job back into the queue.
@@ -85,9 +92,11 @@ pub struct SchedulerStats {
     pub abandoned: usize,
 }
 
-/// Scheduler events. `Finish` carries the job's dispatch epoch: a node
-/// failure that kills the job bumps its epoch, turning the already-queued
-/// completion event into a stale no-op (the event queue has no cancel).
+/// Scheduler events. `Submit` never enters the event queue (submissions
+/// stream from the sorted requests). `Finish` carries the job's dispatch
+/// epoch: a node failure that kills the job bumps its epoch, turning the
+/// already-queued completion event into a stale no-op (the event queue has
+/// no cancel).
 enum Event {
     Submit(usize),
     Finish(usize, u64),
@@ -219,10 +228,10 @@ impl<A: NodePool> Scheduler<A> {
         }
     }
 
-    /// Whether finished jobs keep their node lists in [`JobState`]
-    /// (default `true`). Million-job replays disable this: the per-job
-    /// `Vec<NodeId>` is the dominant memory term at full-Fugaku scale, and
-    /// the aggregate stats never read it after release.
+    /// Whether finished jobs keep their allocations in [`JobState`]
+    /// (default `true`). Million-job replays disable this: the aggregate
+    /// stats never read an allocation after release, and fragmented
+    /// full-Fugaku allocations can hold thousands of runs each.
     pub fn retain_allocations(mut self, keep: bool) -> Self {
         self.retain_allocations = keep;
         self
@@ -274,12 +283,12 @@ impl<A: NodePool> Scheduler<A> {
                 .then(a.id.cmp(&b.id))
         });
         self.jobs = requests
-            .iter()
-            .map(|r| JobState {
-                request: r.clone(),
+            .into_iter()
+            .map(|request| JobState {
+                request,
                 start: None,
                 end: None,
-                allocation: Vec::new(),
+                allocation: NodeRuns::new(),
                 compactness: 0.0,
                 requeues: 0,
                 abandoned: false,
@@ -289,12 +298,10 @@ impl<A: NodePool> Scheduler<A> {
         // Sorted by (submit, id), a job's FCFS priority is its index:
         // requeues keep original submit order, so the waiting set never
         // needs more than the index to order itself.
-        let mut waiting = WaitIndex::new(requests.len());
-        let mut epochs: Vec<u64> = vec![0; requests.len()];
+        let jobs = self.jobs.len();
+        let mut waiting = WaitIndex::new(jobs);
+        let mut epochs: Vec<u64> = vec![0; jobs];
         let mut events: EventQueue<Event> = EventQueue::new();
-        for (idx, r) in requests.iter().enumerate() {
-            events.schedule_at(r.submit, Event::Submit(idx));
-        }
         for f in &failures {
             events.schedule_at(f.at, Event::Fail(f.node));
         }
@@ -303,7 +310,25 @@ impl<A: NodePool> Scheduler<A> {
         let mut failed_nodes = 0usize;
         let mut requeued = 0usize;
         let mut abandoned = 0usize;
-        while let Some((now, ev)) = events.pop() {
+        let mut next_submit = 0usize;
+        loop {
+            // The next submission goes first unless a queued event is
+            // strictly earlier: ties resolve submit-first, as they did when
+            // submissions held the queue's lowest sequence numbers.
+            let submit_due = self.jobs.get(next_submit).is_some_and(|j| {
+                events
+                    .peek_time()
+                    .is_none_or(|queued| j.request.submit <= queued)
+            });
+            let (now, ev) = if submit_due {
+                let idx = next_submit;
+                next_submit += 1;
+                (self.jobs[idx].request.submit, Event::Submit(idx))
+            } else if let Some(popped) = events.pop() {
+                popped
+            } else {
+                break;
+            };
             match ev {
                 Event::Submit(idx) => {
                     if self.jobs[idx].request.nodes > self.allocator.alive_count() {
@@ -334,7 +359,7 @@ impl<A: NodePool> Scheduler<A> {
                             .jobs
                             .iter()
                             .position(|j| {
-                                j.start.is_some() && j.end.is_none() && j.allocation.contains(&node)
+                                j.start.is_some() && j.end.is_none() && j.allocation.contains(node)
                             })
                             .expect("an allocated node belongs to a running job");
                         // Kill: bill the partial work, free the nodes,
@@ -563,6 +588,40 @@ mod tests {
     }
 
     #[test]
+    fn a_submission_goes_before_a_finish_at_the_same_instant() {
+        // Job 0 holds 0..100 until t = 10, when job 1 arrives. Handled
+        // first, the submission sees only 100..192 free and lands there;
+        // had the finish gone first, the coalesced pool would have put it
+        // at 0..50.
+        for policy in [
+            AllocationPolicy::BestFitContiguous,
+            AllocationPolicy::FirstFit,
+        ] {
+            let (jobs, _) =
+                scheduler(policy, true).run(vec![job(0, 100, 10.0, 0.0), job(1, 50, 5.0, 10.0)]);
+            assert_eq!(jobs[1].start, Some(Time::seconds(10.0)));
+            assert_eq!(
+                jobs[1].allocation.runs(),
+                &[(100, 150)],
+                "{policy:?}: the finish was handled before the submission"
+            );
+        }
+    }
+
+    #[test]
+    fn a_submission_goes_before_a_failure_at_the_same_instant() {
+        // Submitted first, the job starts on node 5 and the failure at the
+        // same instant kills it; had the failure gone first, the job would
+        // have been placed around the dead node with no requeue.
+        let (jobs, stats) = scheduler(AllocationPolicy::FirstFit, true)
+            .run_with_failures(vec![job(0, 50, 5.0, 10.0)], vec![fail(5, 10.0)]);
+        assert_eq!(stats.requeued, 1, "the failure was handled first");
+        assert_eq!(jobs[0].requeues, 1);
+        assert!(!jobs[0].allocation.contains(NodeId(5)));
+        assert_eq!(jobs[0].end, Some(Time::seconds(15.0)));
+    }
+
+    #[test]
     #[should_panic(expected = "wants")]
     fn oversized_job_rejected() {
         scheduler(AllocationPolicy::FirstFit, false).run(vec![job(0, 500, 1.0, 0.0)]);
@@ -606,7 +665,7 @@ mod tests {
         assert!(!jobs[0].abandoned);
         assert_eq!(jobs[0].end, Some(Time::seconds(80.0)), "30 + fresh 50");
         assert!(
-            !jobs[0].allocation.contains(&NodeId(40)),
+            !jobs[0].allocation.contains(NodeId(40)),
             "replacement avoids the dead node"
         );
         assert!(stats.makespan == Time::seconds(80.0));

@@ -77,6 +77,11 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
+    /// Time of the earliest pending event, without popping it.
+    pub fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|e| e.at)
+    }
+
     /// Schedule `payload` to fire at absolute time `at`.
     ///
     /// # Panics
@@ -229,6 +234,19 @@ mod tests {
         let mut s = Scheduler::new().with_max_events(100);
         s.queue().schedule_at(Time::ZERO, ());
         s.run(|_, (), q| q.schedule_in(Time::seconds(1.0), ()));
+    }
+
+    #[test]
+    fn peek_time_reports_the_next_pop_without_consuming_it() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule_at(Time::seconds(4.0), "late");
+        q.schedule_at(Time::seconds(2.0), "early");
+        assert_eq!(q.peek_time(), Some(Time::seconds(2.0)));
+        assert_eq!(q.len(), 2, "peeking pops nothing");
+        assert_eq!(q.now(), Time::ZERO, "peeking leaves the clock");
+        assert_eq!(q.pop(), Some((Time::seconds(2.0), "early")));
+        assert_eq!(q.peek_time(), Some(Time::seconds(4.0)));
     }
 
     #[test]

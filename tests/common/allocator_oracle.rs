@@ -1,21 +1,22 @@
-//! The original scan-based allocator, retained as a differential oracle.
+//! The original scan-based allocator, kept as a differential oracle.
 //!
 //! [`OracleAllocator`] is the pre-run-index implementation of
-//! [`crate::Allocator`] kept byte-for-byte: every query rescans the
-//! `Vec<bool>` occupancy arrays. It is O(n) per call — unusable at
-//! full-Fugaku replay scale, which is exactly why it makes a trustworthy
-//! oracle: the equivalence battery (`tests/sched_equivalence.rs`) replays
-//! identical workloads through both allocators and demands identical node
-//! picks, RNG streams, stats, and requeue behaviour on every
-//! [`AllocationPolicy`].
+//! `sched::Allocator`: every query rescans the `Vec<bool>` occupancy
+//! arrays and every allocation is a plain node list. It is O(n) per call —
+//! unusable at full-Fugaku replay scale, which is exactly why it makes a
+//! trustworthy oracle: the equivalence battery (`tests/sched_equivalence.rs`)
+//! replays identical workloads through both allocators and demands
+//! identical node picks, RNG streams, stats, and requeue behaviour on every
+//! [`AllocationPolicy`]. Its compactness is the dense all-pairs walk, so
+//! the run-form closed form is checked against an independent answer.
 
-use crate::allocator::{AllocationPolicy, NodePool};
-use interconnect::placement::mean_pairwise_hops;
-use interconnect::topology::{NodeId, Topology};
+use interconnect::placement::mean_pairwise_hops_dense;
+use interconnect::topology::{NodeId, NodeRuns, Topology};
+use sched::{AllocationPolicy, NodePool};
 use simkit::rng::Pcg32;
 
-/// Tracks node occupancy by full scan — the retained reference
-/// implementation of [`crate::Allocator`].
+/// Tracks node occupancy by full scan — the reference implementation of
+/// `sched::Allocator`.
 pub struct OracleAllocator<T: Topology> {
     topo: T,
     free: Vec<bool>,
@@ -143,12 +144,13 @@ impl<T: Topology> OracleAllocator<T> {
         picked.into_iter().map(NodeId).collect()
     }
 
-    /// Compactness of an allocation: mean pairwise hop distance.
+    /// Compactness of an allocation: mean pairwise hop distance, by the
+    /// dense all-pairs walk.
     pub fn compactness(&self, nodes: &[NodeId]) -> f64
     where
         T: Sync,
     {
-        mean_pairwise_hops(&self.topo, nodes)
+        mean_pairwise_hops_dense(&self.topo, nodes)
     }
 
     /// Fragmentation of the free pool: 1 − (largest free run / free count).
@@ -190,76 +192,16 @@ impl<T: Topology + Sync> NodePool for OracleAllocator<T> {
         OracleAllocator::fail_node(self, node)
     }
 
-    fn allocate(&mut self, count: usize) -> Option<Vec<NodeId>> {
+    fn allocate(&mut self, count: usize) -> Option<NodeRuns> {
         OracleAllocator::allocate(self, count)
+            .map(|nodes| NodeRuns::from_sorted(&nodes).expect("oracle picks are ascending"))
     }
 
-    fn release(&mut self, nodes: &[NodeId]) {
-        OracleAllocator::release(self, nodes)
+    fn release(&mut self, nodes: &NodeRuns) {
+        OracleAllocator::release(self, &nodes.to_vec())
     }
 
-    fn compactness(&self, nodes: &[NodeId]) -> f64 {
-        OracleAllocator::compactness(self, nodes)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::allocator::Allocator;
-    use interconnect::tofu::TofuD;
-    use simkit::rng::Pcg32;
-
-    /// A randomized allocate/release/fail trace drives both allocators and
-    /// demands identical picks and occupancy views at every step — the
-    /// crate-level seed of the full battery in `tests/sched_equivalence.rs`.
-    #[test]
-    fn differential_trace_matches_the_run_indexed_allocator() {
-        for policy in [
-            AllocationPolicy::BestFitContiguous,
-            AllocationPolicy::FirstFit,
-            AllocationPolicy::Random,
-        ] {
-            let mut oracle = OracleAllocator::new(TofuD::cte_arm(), policy, 9);
-            let mut fast = Allocator::new(TofuD::cte_arm(), policy, 9);
-            let mut live: Vec<Vec<NodeId>> = Vec::new();
-            let mut rng = Pcg32::seeded(1234);
-            for step in 0..600 {
-                match rng.next_below(10) {
-                    0..=5 => {
-                        let want = 1 + rng.next_below(48) as usize;
-                        let a = oracle.allocate(want);
-                        let b = fast.allocate(want);
-                        assert_eq!(a, b, "{policy:?} step {step}: picks diverged");
-                        if let Some(nodes) = a {
-                            live.push(nodes);
-                        }
-                    }
-                    6..=8 => {
-                        if !live.is_empty() {
-                            let k = rng.next_below(live.len() as u32) as usize;
-                            let nodes = live.swap_remove(k);
-                            oracle.release(&nodes);
-                            fast.release(&nodes);
-                        }
-                    }
-                    _ => {
-                        let node = NodeId(rng.next_below(192) as usize);
-                        assert_eq!(oracle.fail_node(node), fast.fail_node(node));
-                    }
-                }
-                assert_eq!(
-                    oracle.free_count(),
-                    fast.free_count(),
-                    "{policy:?} step {step}"
-                );
-                assert_eq!(oracle.alive_count(), fast.alive_count());
-                assert_eq!(
-                    oracle.fragmentation().to_bits(),
-                    fast.fragmentation().to_bits(),
-                    "{policy:?} step {step}: fragmentation diverged"
-                );
-            }
-        }
+    fn compactness(&self, nodes: &NodeRuns) -> f64 {
+        OracleAllocator::compactness(self, &nodes.to_vec())
     }
 }

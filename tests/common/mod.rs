@@ -4,6 +4,8 @@
 
 #![allow(dead_code)]
 
+pub mod allocator_oracle;
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 

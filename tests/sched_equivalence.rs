@@ -1,5 +1,5 @@
 //! Differential battery: the run-indexed [`Allocator`] versus the
-//! retained scan [`OracleAllocator`].
+//! scan-based [`OracleAllocator`] kept in `tests/common/`.
 //!
 //! The fast allocator replaces the oracle's O(n) free-array scans with
 //! boundary-tag run indexing, an eligibility bitmap, and a `(len, start)`
@@ -10,19 +10,23 @@
 //! node picks, identical requeue/abandon behaviour, and bit-identical
 //! statistics, under rayon pools of 1, 2 and 8 workers.
 //!
-//! The same file pins the closed-form compactness: `set_mean_hops`
-//! (per-dimension run histograms, exact integer pair sums) must agree
-//! bit-for-bit with the dense O(k²) pairwise walk it replaced.
+//! The same file pins the closed-form compactness: `set_mean_hops` and its
+//! run-form core `runs_mean_hops` (per-dimension run histograms, exact
+//! integer pair sums) must agree bit-for-bit with the dense O(k²) pairwise
+//! walk they replaced.
 
-use interconnect::folded::set_mean_hops;
+use cluster_eval::schedreplay::{smoke_row, SMOKE_CASES, SMOKE_SEED};
+use interconnect::folded::{runs_mean_hops, set_mean_hops};
 use interconnect::placement::mean_pairwise_hops_dense;
 use interconnect::tofu::TofuD;
-use interconnect::topology::NodeId;
+use interconnect::topology::{NodeId, NodeRuns};
 use proptest::prelude::*;
-use sched::{AllocationPolicy, Allocator, JobRequest, NodeFailure, OracleAllocator, Scheduler};
+use sched::{AllocationPolicy, Allocator, JobRequest, NodeFailure, Scheduler};
+use simkit::rng::Pcg32;
 use simkit::units::Time;
 
 mod common;
+use common::allocator_oracle::OracleAllocator;
 use common::{at, THREAD_LADDER};
 
 const POLICIES: [AllocationPolicy; 3] = [
@@ -176,6 +180,100 @@ proptest! {
         let closed = set_mean_hops(&topo, &nodes).expect("in-bounds nodes");
         let dense = mean_pairwise_hops_dense(&topo, &nodes);
         prop_assert_eq!(closed.to_bits(), dense.to_bits());
+    }
+
+    /// Run-form compactness ≡ dense pairwise walk, bit for bit, on random
+    /// sorted run sets of the full Fugaku torus: runs of every length from
+    /// single ids to whole Tofu-unit rows, separated by random gaps.
+    #[test]
+    fn run_form_hops_match_the_dense_walk_bitwise(
+        first in 0usize..2_000,
+        shape in proptest::collection::vec((1usize..300, 1usize..3_000), 1..12),
+    ) {
+        let topo = cluster_eval::faults::fugaku_topo();
+        let mut runs = NodeRuns::new();
+        let mut at = first;
+        for &(len, gap) in &shape {
+            let end = (at + len).min(158_976);
+            if at >= end {
+                break;
+            }
+            runs.push(at, end);
+            at = end + gap;
+        }
+        let nodes = runs.to_vec();
+        let closed = runs_mean_hops(&topo, &runs).expect("in-bounds runs");
+        let dense = mean_pairwise_hops_dense(&topo, &nodes);
+        prop_assert_eq!(closed.to_bits(), dense.to_bits());
+    }
+}
+
+/// The smoke table's four rows, replayed through the run-indexed allocator
+/// and the oracle, must match byte for byte (`sched-replay --smoke` pins
+/// the same rows against the committed golden).
+#[test]
+fn smoke_rows_are_identical_fast_vs_oracle() {
+    for (policy, backfill) in SMOKE_CASES {
+        let fast = smoke_row(
+            Allocator::new(TofuD::cte_arm(), policy, SMOKE_SEED),
+            policy,
+            backfill,
+        );
+        let oracle = smoke_row(
+            OracleAllocator::new(TofuD::cte_arm(), policy, SMOKE_SEED),
+            policy,
+            backfill,
+        );
+        assert_eq!(fast, oracle, "{policy:?} backfill {backfill}");
+    }
+}
+
+/// A randomized allocate/release/fail trace drives both allocators through
+/// their node-list methods and demands identical picks and occupancy views
+/// at every step.
+#[test]
+fn differential_trace_matches_the_run_indexed_allocator() {
+    for policy in POLICIES {
+        let mut oracle = OracleAllocator::new(TofuD::cte_arm(), policy, 9);
+        let mut fast = Allocator::new(TofuD::cte_arm(), policy, 9);
+        let mut live: Vec<Vec<NodeId>> = Vec::new();
+        let mut rng = Pcg32::seeded(1234);
+        for step in 0..600 {
+            match rng.next_below(10) {
+                0..=5 => {
+                    let want = 1 + rng.next_below(48) as usize;
+                    let a = oracle.allocate(want);
+                    let b = fast.allocate(want);
+                    assert_eq!(a, b, "{policy:?} step {step}: picks diverged");
+                    if let Some(nodes) = a {
+                        live.push(nodes);
+                    }
+                }
+                6..=8 => {
+                    if !live.is_empty() {
+                        let k = rng.next_below(live.len() as u32) as usize;
+                        let nodes = live.swap_remove(k);
+                        oracle.release(&nodes);
+                        fast.release(&nodes);
+                    }
+                }
+                _ => {
+                    let node = NodeId(rng.next_below(192) as usize);
+                    assert_eq!(oracle.fail_node(node), fast.fail_node(node));
+                }
+            }
+            assert_eq!(
+                oracle.free_count(),
+                fast.free_count(),
+                "{policy:?} step {step}"
+            );
+            assert_eq!(oracle.alive_count(), fast.alive_count());
+            assert_eq!(
+                oracle.fragmentation().to_bits(),
+                fast.fragmentation().to_bits(),
+                "{policy:?} step {step}: fragmentation diverged"
+            );
+        }
     }
 }
 

@@ -1,20 +1,23 @@
 //! Replay harness suite: the seed-deterministic workload generator, the
-//! smoke table, and the committed golden under `tests/golden/sched/`.
+//! smoke table, and the committed goldens under `tests/golden/sched/`.
 //!
 //! The smoke table runs a 300-job CTE-Arm workload with injected node
-//! failures through every policy, through **both** the run-indexed
-//! allocator and the scan oracle, and formats the stats with shortest-
-//! roundtrip `Display` — so a single changed bit anywhere in the
-//! scheduler shows up as a golden diff. Regenerate after an intended
-//! model change with:
+//! failures through every policy (`tests/sched_equivalence.rs` replays the
+//! same rows through the scan oracle); the Fugaku table replays a
+//! 4,000-job day on the full 158,976-node machine under every policy with
+//! backfill on and off, where fragmented allocations span thousands of id
+//! runs. Both format the stats with shortest-roundtrip `Display` — so a
+//! single changed bit anywhere in the scheduler shows up as a golden diff.
+//! Regenerate after an intended model change with:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test --test sched_replay
+//! UPDATE_GOLDEN=1 cargo run --release -p cluster-eval -- sched-replay --smoke
 //! git diff tests/golden/sched/
 //! ```
 
 use cluster_eval::schedreplay::{
-    machine_topo, parse_policy, policy_name, run_replay, smoke, smoke_table, ReplayConfig,
+    fugaku_day_smoke, machine_topo, parse_policy, policy_name, run_replay, smoke, smoke_table,
+    ReplayConfig,
 };
 use interconnect::topology::Topology;
 use sched::{AllocationPolicy, ReplaySpec};
@@ -24,11 +27,28 @@ use common::{at, THREAD_LADDER};
 
 #[test]
 fn smoke_table_is_identical_at_1_2_8_threads() {
-    let baseline = at(1, smoke_table).expect("fast/oracle rows agree");
+    let baseline = at(1, smoke_table);
     assert_eq!(baseline.lines().count(), 5, "header + four policy rows");
     for threads in THREAD_LADDER {
-        let table = at(threads, smoke_table).expect("fast/oracle rows agree");
+        let table = at(threads, smoke_table);
         assert_eq!(table, baseline, "smoke table drifted at {threads} threads");
+    }
+}
+
+/// A 1-day × 4,000-job full-Fugaku replay under every policy, backfill on
+/// and off, pinned against `tests/golden/sched/fugaku_day.csv` — the same
+/// check `cluster-eval sched-replay --smoke` runs. The scheduler is generic
+/// over its allocator, so its code is compiled at this crate's opt-level:
+/// unoptimized, with the allocator's O(n) debug self-checks on every call,
+/// the six replays take many minutes instead of seconds.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "full-Fugaku replays need an optimized build: cargo test --release"
+)]
+fn fugaku_day_matches_the_committed_golden() {
+    if let Err(msg) = fugaku_day_smoke() {
+        panic!("{msg}");
     }
 }
 
